@@ -54,11 +54,11 @@ DecisionOutcome evaluate_impl(const local::Instance& inst,
   std::atomic<std::uint64_t> announcements{0};
   std::atomic<std::uint64_t> encoded_words{0};
   std::atomic<std::uint64_t> expansions{0};
+  const local::BallSource balls(inst, radius, filter, options.ball);
   auto body = [&](local::BallWorkspace& workspace, std::uint64_t v) {
     if (counted[v] == 0) return;
-    workspace.ball.collect(inst.topology(), static_cast<graph::NodeId>(v),
-                           radius, workspace.scratch, filter);
-    const graph::BallView& ball = workspace.ball;
+    const graph::BallView& ball =
+        balls.ball(static_cast<graph::NodeId>(v), workspace);
     local::View view;
     view.ball = &ball;
     view.instance = &inst;

@@ -54,9 +54,9 @@ struct EvaluateOptions {
   local::Telemetry* telemetry = nullptr;
 
   /// Reusable ball storage for sequential evaluations (same contract as
-  /// local::RunOptions::ball); the plan factories pass the executing
-  /// worker's slot per trial. Pooled evaluations manage per-worker
-  /// workspaces internally.
+  /// local::RunOptions::ball, atlas included); the plan factories pass the
+  /// executing worker's slot per trial. Pooled evaluations manage
+  /// per-worker workspaces internally.
   local::BallWorkspace* ball = nullptr;
 
   /// Optional adversary (src/fault/): when `fault` is non-null and

@@ -12,22 +12,6 @@ BallView::BallView(const Graph& g, NodeId center, int radius) {
   collect(g, center, radius, scratch);
 }
 
-BallView::BallView(const Topology& topology, NodeId center, int radius) {
-  BallScratch scratch;
-  collect(topology, center, radius, scratch);
-}
-
-void BallView::collect(const Topology& topology, NodeId center, int radius,
-                       BallScratch& scratch, const BallFilter* filter) {
-  // A materialized graph keeps the stamp-versioned O(n)-scratch fast
-  // path; one dynamic_cast per ball is noise next to the BFS.
-  if (const auto* g = dynamic_cast<const Graph*>(&topology)) {
-    collect(*g, center, radius, scratch, filter);
-    return;
-  }
-  collect_generic(topology, center, radius, scratch, filter);
-}
-
 void BallView::collect(const Graph& g, NodeId center, int radius,
                        BallScratch& scratch, const BallFilter* filter) {
   LNC_EXPECTS(center < g.node_count());
@@ -115,9 +99,8 @@ void BallView::collect(const Graph& g, NodeId center, int radius,
   }
 }
 
-void BallView::collect_generic(const Topology& topology, NodeId center,
-                               int radius, BallScratch& scratch,
-                               const BallFilter* filter) {
+void BallView::collect(const Topology& topology, NodeId center, int radius,
+                       BallScratch& scratch, const BallFilter* filter) {
   LNC_EXPECTS(center < topology.node_count());
   LNC_EXPECTS(radius >= 0);
   radius_ = radius;

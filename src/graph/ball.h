@@ -69,9 +69,6 @@ class BallView {
   /// Collects B_G(center, radius). O(|ball| + edges inside).
   BallView(const Graph& g, NodeId center, int radius);
 
-  /// Same, from any topology (dispatches like collect below).
-  BallView(const Topology& topology, NodeId center, int radius);
-
   /// Re-collects B_G(center, radius) into this view, reusing this view's
   /// vector capacity and the scratch's visited map. Bit-identical to a
   /// freshly constructed BallView (tests/graph_test.cpp asserts this);
@@ -83,11 +80,13 @@ class BallView {
   void collect(const Graph& g, NodeId center, int radius,
                BallScratch& scratch, const BallFilter* filter = nullptr);
 
-  /// Collects the ball from any Topology. A materialized Graph takes the
-  /// CSR fast path above; anything else expands through neighbors_of with
+  /// Collects the ball from any Topology through neighbors_of with
   /// ball-bounded scratch (no O(n) visited arrays), producing a view
   /// bit-identical to collecting from the materialized graph of the same
-  /// topology (tests/topology_test.cpp).
+  /// topology (tests/topology_test.cpp). This is the implicit-topology
+  /// path: it does not look for a CSR graph behind the reference, so
+  /// callers holding a materialized Graph pass it as one (overload
+  /// resolution then picks the CSR path above).
   void collect(const Topology& topology, NodeId center, int radius,
                BallScratch& scratch, const BallFilter* filter = nullptr);
 
@@ -150,9 +149,6 @@ class BallView {
   std::uint64_t structure_signature() const;
 
  private:
-  void collect_generic(const Topology& topology, NodeId center, int radius,
-                       BallScratch& scratch, const BallFilter* filter);
-
   int radius_ = 0;
   std::vector<NodeId> members_;     // local -> original
   std::vector<int> distances_;      // local -> distance from center

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/assert.h"
 
@@ -82,6 +83,9 @@ Graph Graph::Builder::build() {
                static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
     std::sort(begin, end);
   }
+
+  static std::atomic<std::uint64_t> next_uid{1};
+  g.uid_ = next_uid.fetch_add(1, std::memory_order_relaxed);
 
   node_count_ = 0;
   edges_.clear();

@@ -68,10 +68,18 @@ class Graph : public Topology {
     return offsets_ == other.offsets_ && adjacency_ == other.adjacency_;
   }
 
+  /// Build serial: a process-unique nonzero number stamped by
+  /// Builder::build() and shared by copies (a copy has the same
+  /// structure). A default-constructed graph has uid 0. Caches of
+  /// structure-derived data (graph/ball_atlas.h) key by it, never by
+  /// address — a freed graph's address can be reused by a different one.
+  std::uint64_t uid() const noexcept { return uid_; }
+
  private:
   friend class Builder;
   std::vector<std::size_t> offsets_;  // size node_count + 1
   std::vector<NodeId> adjacency_;    // size 2 * edge_count, sorted per node
+  std::uint64_t uid_ = 0;
 };
 
 /// Accumulates edges, rejects self-loops, deduplicates parallel edges, and

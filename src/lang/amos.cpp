@@ -2,8 +2,9 @@
 
 namespace lnc::lang {
 
-bool Amos::contains(const local::Instance& /*inst*/,
-                    std::span<const local::Label> output) const {
+bool Amos::contains_impl(const local::Instance& /*inst*/,
+                         std::span<const local::Label> output,
+                         local::BallWorkspace* /*balls*/) const {
   return selected_count(output) <= 1;
 }
 

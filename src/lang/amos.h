@@ -21,11 +21,13 @@ class Amos final : public Language {
 
   std::string name() const override { return "amos"; }
 
-  bool contains(const local::Instance& inst,
-                std::span<const local::Label> output) const override;
-
   /// Number of selected nodes.
   static std::size_t selected_count(std::span<const local::Label> output);
+
+ private:
+  bool contains_impl(const local::Instance& inst,
+                     std::span<const local::Label> output,
+                     local::BallWorkspace* balls) const override;
 };
 
 }  // namespace lnc::lang

@@ -2,28 +2,31 @@
 
 namespace lnc::lang {
 
-bool LclLanguage::contains(const local::Instance& inst,
-                           std::span<const local::Label> output) const {
-  return count_bad_balls(inst, output) == 0;
+bool LclLanguage::contains_impl(const local::Instance& inst,
+                                std::span<const local::Label> output,
+                                local::BallWorkspace* balls) const {
+  return count_bad_balls(inst, output, balls) == 0;
 }
 
 std::vector<graph::NodeId> LclLanguage::bad_ball_centers(
-    const local::Instance& inst,
-    std::span<const local::Label> output) const {
+    const local::Instance& inst, std::span<const local::Label> output,
+    local::BallWorkspace* balls) const {
   std::vector<graph::NodeId> centers;
-  const int t = radius();
+  local::BallWorkspace local_workspace;
+  local::BallWorkspace& workspace =
+      balls != nullptr ? *balls : local_workspace;
+  const local::BallSource source(inst, radius(), nullptr, balls);
   for (graph::NodeId v = 0; v < inst.node_count(); ++v) {
-    const graph::BallView view(inst.g, v, t);
-    LabeledBall labeled{&view, &inst, output};
+    LabeledBall labeled{&source.ball(v, workspace), &inst, output, {}};
     if (is_bad_ball(labeled)) centers.push_back(v);
   }
   return centers;
 }
 
 std::size_t LclLanguage::count_bad_balls(
-    const local::Instance& inst,
-    std::span<const local::Label> output) const {
-  return bad_ball_centers(inst, output).size();
+    const local::Instance& inst, std::span<const local::Label> output,
+    local::BallWorkspace* balls) const {
+  return bad_ball_centers(inst, output, balls).size();
 }
 
 }  // namespace lnc::lang

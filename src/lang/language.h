@@ -15,6 +15,7 @@
 
 #include "graph/ball.h"
 #include "graph/graph.h"
+#include "local/ball_source.h"
 #include "local/instance.h"
 
 namespace lnc::lang {
@@ -49,9 +50,20 @@ class Language {
   virtual ~Language() = default;
   virtual std::string name() const = 0;
 
-  /// Global membership: is (G, (x, y)) in L?
-  virtual bool contains(const local::Instance& inst,
-                        std::span<const local::Label> output) const = 0;
+  /// Global membership: is (G, (x, y)) in L? A non-null `balls` lends
+  /// ball storage, and the runner's atlas when it carries one, to
+  /// languages that inspect balls (local/ball_source.h); trial bodies
+  /// pass their worker's workspace. The answer does not depend on it.
+  bool contains(const local::Instance& inst,
+                std::span<const local::Label> output,
+                local::BallWorkspace* balls = nullptr) const {
+    return contains_impl(inst, output, balls);
+  }
+
+ private:
+  virtual bool contains_impl(const local::Instance& inst,
+                             std::span<const local::Label> output,
+                             local::BallWorkspace* balls) const = 0;
 };
 
 /// A language defined by exclusion of a set Bad(L) of radius-t balls.
@@ -63,18 +75,23 @@ class LclLanguage : public Language {
   /// Is this labeled ball in Bad(L)?
   virtual bool is_bad_ball(const LabeledBall& ball) const = 0;
 
-  /// Membership == no node's ball is bad.
-  bool contains(const local::Instance& inst,
-                std::span<const local::Label> output) const override;
-
   /// F(G) in the paper's Corollary-1 proof: the centers of bad balls.
+  /// Balls come from `balls` (its atlas, or its storage) when given, else
+  /// from one call-local workspace reused across the nodes.
   std::vector<graph::NodeId> bad_ball_centers(
-      const local::Instance& inst,
-      std::span<const local::Label> output) const;
+      const local::Instance& inst, std::span<const local::Label> output,
+      local::BallWorkspace* balls = nullptr) const;
 
   /// |F(G)|.
   std::size_t count_bad_balls(const local::Instance& inst,
-                              std::span<const local::Label> output) const;
+                              std::span<const local::Label> output,
+                              local::BallWorkspace* balls = nullptr) const;
+
+ private:
+  /// Membership == no node's ball is bad.
+  bool contains_impl(const local::Instance& inst,
+                     std::span<const local::Label> output,
+                     local::BallWorkspace* balls) const override;
 };
 
 }  // namespace lnc::lang

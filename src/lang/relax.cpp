@@ -13,9 +13,10 @@ std::string FResilient::name() const {
   return std::to_string(max_faults_) + "-resilient(" + base_->name() + ")";
 }
 
-bool FResilient::contains(const local::Instance& inst,
-                          std::span<const local::Label> output) const {
-  return base_->count_bad_balls(inst, output) <= max_faults_;
+bool FResilient::contains_impl(
+    const local::Instance& inst, std::span<const local::Label> output,
+    local::BallWorkspace* balls) const {
+  return base_->count_bad_balls(inst, output, balls) <= max_faults_;
 }
 
 EpsSlack::EpsSlack(const LclLanguage& base, double eps)
@@ -32,9 +33,10 @@ std::size_t EpsSlack::fault_budget(const local::Instance& inst) const {
       std::floor(eps_ * static_cast<double>(inst.node_count())));
 }
 
-bool EpsSlack::contains(const local::Instance& inst,
-                        std::span<const local::Label> output) const {
-  return base_->count_bad_balls(inst, output) <= fault_budget(inst);
+bool EpsSlack::contains_impl(
+    const local::Instance& inst, std::span<const local::Label> output,
+    local::BallWorkspace* balls) const {
+  return base_->count_bad_balls(inst, output, balls) <= fault_budget(inst);
 }
 
 PolyResilient::PolyResilient(const LclLanguage& base, double exponent)
@@ -53,9 +55,10 @@ std::size_t PolyResilient::fault_budget(const local::Instance& inst) const {
                           exponent_)));
 }
 
-bool PolyResilient::contains(const local::Instance& inst,
-                             std::span<const local::Label> output) const {
-  return base_->count_bad_balls(inst, output) <= fault_budget(inst);
+bool PolyResilient::contains_impl(
+    const local::Instance& inst, std::span<const local::Label> output,
+    local::BallWorkspace* balls) const {
+  return base_->count_bad_balls(inst, output, balls) <= fault_budget(inst);
 }
 
 }  // namespace lnc::lang

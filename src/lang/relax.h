@@ -27,13 +27,14 @@ class FResilient final : public Language {
 
   std::string name() const override;
 
-  bool contains(const local::Instance& inst,
-                std::span<const local::Label> output) const override;
-
   const LclLanguage& base() const noexcept { return *base_; }
   std::size_t max_faults() const noexcept { return max_faults_; }
 
  private:
+  bool contains_impl(const local::Instance& inst,
+                     std::span<const local::Label> output,
+                     local::BallWorkspace* balls) const override;
+
   const LclLanguage* base_;
   std::size_t max_faults_;
 };
@@ -45,9 +46,6 @@ class EpsSlack final : public Language {
 
   std::string name() const override;
 
-  bool contains(const local::Instance& inst,
-                std::span<const local::Label> output) const override;
-
   const LclLanguage& base() const noexcept { return *base_; }
   double eps() const noexcept { return eps_; }
 
@@ -55,6 +53,10 @@ class EpsSlack final : public Language {
   std::size_t fault_budget(const local::Instance& inst) const;
 
  private:
+  bool contains_impl(const local::Instance& inst,
+                     std::span<const local::Label> output,
+                     local::BallWorkspace* balls) const override;
+
   const LclLanguage* base_;
   double eps_;
 };
@@ -74,9 +76,6 @@ class PolyResilient final : public Language {
 
   std::string name() const override;
 
-  bool contains(const local::Instance& inst,
-                std::span<const local::Label> output) const override;
-
   const LclLanguage& base() const noexcept { return *base_; }
   double exponent() const noexcept { return exponent_; }
 
@@ -84,6 +83,10 @@ class PolyResilient final : public Language {
   std::size_t fault_budget(const local::Instance& inst) const;
 
  private:
+  bool contains_impl(const local::Instance& inst,
+                     std::span<const local::Label> output,
+                     local::BallWorkspace* balls) const override;
+
   const LclLanguage* base_;
   double exponent_;
 };

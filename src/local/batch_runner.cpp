@@ -166,6 +166,7 @@ void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
       arenas_[worker].telemetry().merge(fresh.telemetry());
     } else {
       env.arena = &arenas_[worker];
+      env.arena->ball_workspace().attach(&atlases_, i);
       body(worker, env);
     }
     // Per-trial wall time lands in the worker's lock-free accumulator
@@ -219,6 +220,7 @@ void BatchRunner::for_each_vector_trial(const ExperimentPlan& plan,
           env.index = begin + local;
           env.seed = stats::trial_seed(plan.base_seed, env.index);
           env.arena = &arena;
+          arena.ball_workspace().attach(&atlases_, env.index);
           body(worker, env, out, rounds, delta);
         });
     const double batch_seconds = batch_timer.elapsed_seconds();

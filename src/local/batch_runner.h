@@ -29,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "graph/ball_atlas.h"
 #include "local/ball_collector.h"
 #include "local/engine.h"
 #include "local/runner.h"
@@ -71,7 +72,8 @@ class WorkerArena {
 
   /// This worker's reusable ball-collection slot: the direct ball runner
   /// keeps view and visited-map capacity warm across trials instead of
-  /// allocating five vectors per node per trial.
+  /// allocating five vectors per node per trial. BatchRunner attaches its
+  /// ball-atlas cache here before each trial on a warm arena.
   BallWorkspace& ball_workspace() noexcept { return ball_; }
 
   /// Second reusable ball slot for trial bodies that hold two balls at
@@ -372,6 +374,13 @@ class BatchRunner {
     progress_ = progress;
   }
 
+  /// The runner's ball atlases (graph/ball_atlas.h), shared read-only by
+  /// the warm arenas of every worker and kept for the runner's lifetime.
+  /// The naive backend's cold arenas never see them.
+  const graph::BallAtlasCache& ball_atlases() const noexcept {
+    return atlases_;
+  }
+
  private:
   template <typename Body>
   void for_each_trial(const ExperimentPlan& plan, TrialRange range,
@@ -392,6 +401,7 @@ class BatchRunner {
   obs::MetricsRegistry merged_worker_metrics();
 
   const stats::ThreadPool* pool_;
+  graph::BallAtlasCache atlases_;
   std::vector<WorkerArena> arenas_;
   Telemetry last_telemetry_;
   obs::MetricsRegistry last_metrics_;

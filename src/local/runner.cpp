@@ -18,15 +18,15 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
   std::atomic<std::uint64_t> announcements{0};
   std::atomic<std::uint64_t> encoded_words{0};
   std::atomic<std::uint64_t> expansions{0};
+  const BallSource balls(inst, radius, options.ball_filter, options.ball);
   auto body = [&](BallWorkspace& workspace, std::uint64_t v) {
     if (options.ball_filter != nullptr &&
         options.ball_filter->node_blocked(static_cast<graph::NodeId>(v))) {
       output[v] = 0;  // crashed center: tombstone, no collection, no charge
       return;
     }
-    workspace.ball.collect(inst.topology(), static_cast<graph::NodeId>(v),
-                           radius, workspace.scratch, options.ball_filter);
-    const graph::BallView& ball = workspace.ball;
+    const graph::BallView& ball =
+        balls.ball(static_cast<graph::NodeId>(v), workspace);
     View view;
     view.ball = &ball;
     view.instance = &inst;

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "graph/ball.h"
+#include "local/ball_source.h"
 #include "local/instance.h"
 #include "local/telemetry.h"
 #include "rand/coins.h"
@@ -64,15 +65,6 @@ class RandomizedBallAlgorithm {
                         const rand::CoinProvider& coins) const = 0;
 };
 
-/// A reusable ball-collection slot: the view's vectors and the scratch's
-/// visited map keep their capacity across collect() calls. The direct ball
-/// runner holds one per worker, so the steady-state node inspection
-/// allocates nothing (ROADMAP "BallView arenas").
-struct BallWorkspace {
-  graph::BallView ball;
-  graph::BallScratch scratch;
-};
-
 struct RunOptions {
   bool grant_n = false;
   const stats::ThreadPool* pool = nullptr;
@@ -88,6 +80,9 @@ struct RunOptions {
   /// path passes its worker's slot, keeping capacity warm ACROSS trials).
   /// Null still reuses one call-local workspace across the nodes of this
   /// run; pooled runs manage one workspace per pool worker internally.
+  /// When the slot carries the runner's atlas cache, an unfiltered run
+  /// over a materialized instance reads its balls from the atlas
+  /// (local/ball_source.h) instead of collecting them.
   BallWorkspace* ball = nullptr;
 
   /// Optional fault censoring (src/fault/): every ball is collected inside

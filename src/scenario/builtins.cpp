@@ -299,13 +299,15 @@ class ColoringRelaxation final : public RelaxedLanguage {
   }
 
   std::string name() const override { return relaxed_->name(); }
-  bool contains(const local::Instance& inst,
-                std::span<const local::Label> output) const override {
-    return relaxed_->contains(inst, output);
-  }
   const lang::LclLanguage& core() const override { return base_; }
 
  private:
+  bool contains_impl(const local::Instance& inst,
+                     std::span<const local::Label> output,
+                     local::BallWorkspace* balls) const override {
+    return relaxed_->contains(inst, output, balls);
+  }
+
   lang::ProperColoring base_;
   std::unique_ptr<lang::Language> relaxed_;
 };
@@ -909,7 +911,7 @@ void register_statistics(Registry<StatisticEntry>& statistics) {
          const lang::LclLanguage* core = lcl_core(*ctx.language);
          LNC_ASSERT(core != nullptr);
          return static_cast<double>(
-             core->count_bad_balls(*ctx.instance, *ctx.output));
+             core->count_bad_balls(*ctx.instance, *ctx.output, ctx.balls));
        }});
   statistics.add(
       {"messages",

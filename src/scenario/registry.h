@@ -156,9 +156,8 @@ class Construction {
   }
 
   /// The underlying ball algorithm when this construction is ball-based —
-  /// non-null lets scenario compilation route through the existing
-  /// local::construction_plan / decide::construct_then_decide_plan
-  /// factories (with exec-mode control) instead of a custom trial.
+  /// non-null lets scenario compilation run it under the spec's exec mode
+  /// and route deciders through decide::construct_then_decide_plan.
   virtual const local::RandomizedBallAlgorithm* ball_algorithm() const {
     return nullptr;
   }
@@ -205,6 +204,9 @@ struct StatisticContext {
   Construction::Outcome outcome;
   const lang::Language* language = nullptr;
   local::Telemetry delta;
+  /// The trial worker's ball workspace (and through it the runner's ball
+  /// atlas) for statistics that inspect balls; null reads none.
+  local::BallWorkspace* balls = nullptr;
 };
 
 /// One registered per-trial statistic — the quantity a value workload

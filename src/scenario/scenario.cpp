@@ -342,35 +342,41 @@ CompiledScenario compile(const ScenarioSpec& spec) {
       spec.workload != local::WorkloadKind::kSuccess
           ? statistics().find(spec.statistic)
           : nullptr;
-  // Shared per-trial body of the custom statistic paths: run the
-  // construction (ball algorithms through the spec's exec mode, so
-  // --mode means the same thing on every workload path), snapshot the
-  // telemetry delta when the statistic reads it, evaluate.
+  // Shared per-trial construction run of the custom paths: ball
+  // algorithms through the spec's exec mode (so --mode means the same
+  // thing on every workload path), engine programs through their
+  // Construction.
   const local::ExecMode mode = spec.mode;
+  const auto run_construction =
+      [construction, ball, mode, fault](const local::Instance& instance,
+                                        const local::TrialEnv& env,
+                                        local::Labeling& output) {
+        if (ball == nullptr) {
+          Construction::RunOptions run_options;
+          run_options.fault = fault;
+          return construction->run(instance, env, output, run_options);
+        }
+        const rand::PhiloxCoins fault_coins = env.fault_coins();
+        local::ExecOptions exec_options;
+        exec_options.arena = env.arena;
+        if (fault != nullptr) {
+          exec_options.fault = fault;
+          exec_options.fault_coins = &fault_coins;
+        }
+        local::run_construction_into(instance, *ball, env.construction_coins(),
+                                     mode, output, exec_options);
+        return Construction::Outcome{ball->radius()};
+      };
+  // Shared per-trial body of the statistic paths: run the construction,
+  // snapshot the telemetry delta when the statistic reads it, evaluate.
   const auto evaluate_statistic =
-      [language, construction, statistic, ball, mode,
-       fault](const local::Instance& instance, const local::TrialEnv& env) {
+      [language, statistic, run_construction](
+          const local::Instance& instance, const local::TrialEnv& env) {
         local::Labeling& output = env.arena->labeling();
         local::Telemetry before;
         if (statistic->needs_telemetry) before = env.arena->telemetry();
         StatisticContext ctx;
-        if (ball != nullptr) {
-          const rand::PhiloxCoins fault_coins = env.fault_coins();
-          local::ExecOptions exec_options;
-          exec_options.arena = env.arena;
-          if (fault != nullptr) {
-            exec_options.fault = fault;
-            exec_options.fault_coins = &fault_coins;
-          }
-          local::run_construction_into(instance, *ball,
-                                       env.construction_coins(), mode,
-                                       output, exec_options);
-          ctx.outcome = Construction::Outcome{ball->radius()};
-        } else {
-          Construction::RunOptions run_options;
-          run_options.fault = fault;
-          ctx.outcome = construction->run(instance, env, output, run_options);
-        }
+        ctx.outcome = run_construction(instance, env, output);
         if (statistic->needs_telemetry) {
           const local::Telemetry& after = env.arena->telemetry();
           ctx.delta.messages_sent =
@@ -384,6 +390,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
         ctx.instance = &instance;
         ctx.output = &output;
         ctx.language = language;
+        ctx.balls = &env.arena->ball_workspace();
         return statistic->eval(ctx);
       };
 
@@ -411,35 +418,14 @@ CompiledScenario compile(const ScenarioSpec& spec) {
     LNC_EXPECTS(point.instance != nullptr);
     const local::Instance& inst = *point.instance;
 
+    const local::Instance* inst_ptr = point.instance.get();
     if (spec.workload == local::WorkloadKind::kValue) {
-      if (ball != nullptr && !statistic->needs_telemetry) {
-        // Ball-based construction: route through the standard value-plan
-        // factory (honoring the exec mode). Ball runs execute in their
-        // radius, so the outcome is a grid-point constant.
-        const Construction::Outcome ball_outcome{ball->radius()};
-        point.plan = local::construction_value_plan(
-            plan_name, inst, *ball,
-            [language, statistic, ball_outcome](
-                const local::Instance& instance,
-                const local::Labeling& output) {
-              StatisticContext ctx;
-              ctx.instance = &instance;
-              ctx.output = &output;
-              ctx.outcome = ball_outcome;
-              ctx.language = language;
-              return statistic->eval(ctx);
-            },
-            spec.trials, plan_seed, spec.mode, /*grant_n=*/false, fault);
-      } else {
-        const local::Instance* inst_ptr = point.instance.get();
-        point.plan = local::custom_value_plan(
-            plan_name, spec.trials, plan_seed,
-            [inst_ptr, evaluate_statistic](const local::TrialEnv& env) {
-              return evaluate_statistic(*inst_ptr, env);
-            });
-      }
+      point.plan = local::custom_value_plan(
+          plan_name, spec.trials, plan_seed,
+          [inst_ptr, evaluate_statistic](const local::TrialEnv& env) {
+            return evaluate_statistic(*inst_ptr, env);
+          });
     } else if (spec.workload == local::WorkloadKind::kCounter) {
-      const local::Instance* inst_ptr = point.instance.get();
       point.plan = local::custom_count_plan(
           plan_name, spec.trials, plan_seed, 1,
           [inst_ptr, evaluate_statistic](const local::TrialEnv& env,
@@ -449,41 +435,27 @@ CompiledScenario compile(const ScenarioSpec& spec) {
           });
     } else if (decider == nullptr) {
       // "exact": success == (global membership verdict == accept side).
-      if (ball != nullptr) {
-        point.plan = local::construction_plan(
-            plan_name, inst, *ball,
-            [language, accept](const local::Instance& instance,
-                               const local::Labeling& output) {
-              return language->contains(instance, output) == accept;
-            },
-            spec.trials, plan_seed, spec.mode, /*grant_n=*/false, fault);
-      } else {
-        const local::Instance* inst_ptr = point.instance.get();
-        point.plan = local::custom_plan(
-            plan_name, spec.trials, plan_seed,
-            [inst_ptr, language, construction, accept, fault](
-                const local::TrialEnv& env) {
-              local::Labeling& output = env.arena->labeling();
-              Construction::RunOptions run_options;
-              run_options.fault = fault;
-              construction->run(*inst_ptr, env, output, run_options);
-              return language->contains(*inst_ptr, output) == accept;
-            });
-      }
+      point.plan = local::custom_plan(
+          plan_name, spec.trials, plan_seed,
+          [inst_ptr, language, run_construction,
+           accept](const local::TrialEnv& env) {
+            local::Labeling& output = env.arena->labeling();
+            run_construction(*inst_ptr, env, output);
+            return language->contains(*inst_ptr, output,
+                                      &env.arena->ball_workspace()) ==
+                   accept;
+          });
     } else if (ball != nullptr) {
       point.plan = decide::construct_then_decide_plan(
           plan_name, inst, *ball, *decider, spec.trials, plan_seed,
           eval_options, accept, spec.mode);
     } else {
-      const local::Instance* inst_ptr = point.instance.get();
       point.plan = local::custom_plan(
           plan_name, spec.trials, plan_seed,
-          [inst_ptr, construction, decider, eval_options, accept,
+          [inst_ptr, run_construction, decider, eval_options, accept,
            fault](const local::TrialEnv& env) {
             local::Labeling& output = env.arena->labeling();
-            Construction::RunOptions run_options;
-            run_options.fault = fault;
-            construction->run(*inst_ptr, env, output, run_options);
+            run_construction(*inst_ptr, env, output);
             const rand::PhiloxCoins d_coins = env.decision_coins();
             const rand::PhiloxCoins f_coins = env.fault_coins();
             decide::EvaluateOptions trial_options = eval_options;
@@ -521,20 +493,20 @@ CompiledScenario compile(const ScenarioSpec& spec) {
       point.plan.optimization = config;
     }
     if (vectorizable) {
-      const local::Instance* inst_ptr = point.instance.get();
       point.plan.vector.instance = inst_ptr;
       point.plan.vector.factory = engine_factory;
       if (spec.workload == local::WorkloadKind::kValue ||
           spec.workload == local::WorkloadKind::kCounter) {
         const auto finish_statistic =
             [inst_ptr, language, statistic](
-                const local::TrialEnv& /*env*/, const local::Labeling& output,
+                const local::TrialEnv& env, const local::Labeling& output,
                 int rounds, const local::Telemetry& delta) {
               StatisticContext ctx;
               ctx.instance = inst_ptr;
               ctx.output = &output;
               ctx.outcome = Construction::Outcome{rounds};
               ctx.language = language;
+              ctx.balls = &env.arena->ball_workspace();
               if (statistic->needs_telemetry) ctx.delta = delta;
               return statistic->eval(ctx);
             };
@@ -557,11 +529,13 @@ CompiledScenario compile(const ScenarioSpec& spec) {
         }
       } else if (decider == nullptr) {
         point.plan.vector.success_finish =
-            [inst_ptr, language, accept](const local::TrialEnv& /*env*/,
+            [inst_ptr, language, accept](const local::TrialEnv& env,
                                          const local::Labeling& output,
                                          int /*rounds*/,
                                          const local::Telemetry& /*delta*/) {
-              return language->contains(*inst_ptr, output) == accept;
+              return language->contains(*inst_ptr, output,
+                                        &env.arena->ball_workspace()) ==
+                     accept;
             };
       } else {
         point.plan.vector.success_finish =

@@ -8,8 +8,12 @@
 //    simulation produce identical labelings for every algorithm family
 //    covered by simulate_test.cpp, deterministic AND randomized;
 //  * arena reuse — warm per-worker arenas do not leak state between
-//    trials or between consecutive runs.
+//    trials or between consecutive runs;
+//  * ball atlases — a warm runner's atlas cache serves the balls of the
+//    graph actually run, and never keeps atlases for per-trial graphs.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "algo/rand_coloring.h"
 #include "core/hard_instances.h"
@@ -19,6 +23,7 @@
 #include "lang/coloring.h"
 #include "lang/relax.h"
 #include "local/experiment.h"
+#include "rand/coins.h"
 
 namespace lnc {
 namespace {
@@ -351,6 +356,79 @@ TEST(BatchReproducibility, MeanAndCountPlansAcrossThreadCounts) {
     EXPECT_EQ(mean_ref.stddev, mean.stddev);
     EXPECT_EQ(counts_ref, runner.run_counts(count_plan()));
   }
+}
+
+// -- ball atlases -----------------------------------------------------------
+
+TEST(BallAtlas, WarmRunnerAfterGraphTurnoverMatchesColdRunner) {
+  // The runner's atlas cache keys by Graph::uid(), never by address: each
+  // instance below is freed before the next (same n, different structure)
+  // is built, so the allocator may hand the new graph the old address.
+  // The warm runner must still tally exactly what a cold runner does on
+  // the naive backend, whose cold arenas collect every ball.
+  const algo::UniformRandomColoring coloring(3);
+  const lang::ProperColoring base(3);
+  const decide::ResilientDecider decider(base, 1);
+  auto plan_for = [&](const local::Instance& inst, bool naive) {
+    auto plan = decide::construct_then_decide_plan("atlas-turnover", inst,
+                                                   coloring, decider, 300, 7);
+    if (naive) {
+      plan.optimization.backend = local::OptimizationConfig::Backend::kNaive;
+    }
+    return plan;
+  };
+  const std::vector<graph::Graph (*)()> graphs = {
+      [] { return graph::cycle(24); },
+      [] { return graph::grid(6, 4); },
+      [] { return graph::random_regular(24, 3, 11); },
+      [] { return graph::binary_tree(24); },
+      [] { return graph::path(24); },
+  };
+  BatchRunner warm;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    auto inst = std::make_unique<local::Instance>(labeled(graphs[i](), i));
+    const stats::Estimate warm_estimate = warm.run(plan_for(*inst, false));
+    const local::Telemetry warm_telemetry = warm.last_telemetry();
+    BatchRunner cold;
+    expect_identical(cold.run(plan_for(*inst, true)), warm_estimate);
+    expect_telemetry_identical(cold.last_telemetry(), warm_telemetry);
+    EXPECT_EQ(cold.ball_atlases().atlas_count(), 0u);
+  }
+  // Construction radius 0 and decision radius 1, per graph.
+  EXPECT_EQ(warm.ball_atlases().atlas_count(), 2 * graphs.size());
+}
+
+TEST(BallAtlas, FreshGraphPerTrialSamplerBuildsNoAtlas) {
+  const algo::UniformRandomColoring coloring(3);
+  const lang::ProperColoring base(3);
+  const decide::ResilientDecider decider(base, 1);
+  auto colored = [&](const local::Instance& inst, std::uint64_t seed) {
+    return local::run_ball_algorithm(
+        inst, coloring, rand::PhiloxCoins(seed, rand::Stream::kConstruction));
+  };
+  const decide::ConfigurationSampler fresh = [&](std::uint64_t seed) {
+    local::SampledConfiguration sample;
+    sample.instance = labeled(graph::cycle(20), seed);  // built per trial
+    sample.output = colored(sample.instance, seed);
+    return sample;
+  };
+  BatchRunner runner;
+  runner.run(decide::guarantee_side_plan("fresh-graphs", fresh, decider,
+                                         true, 200, 5));
+  EXPECT_EQ(runner.ball_atlases().atlas_count(), 0u);
+
+  // Control: the same draws over one shared instance do get an atlas.
+  const auto shared =
+      std::make_shared<const local::Instance>(labeled(graph::cycle(20), 1));
+  const decide::ConfigurationSampler interned = [&](std::uint64_t seed) {
+    local::SampledConfiguration sample;
+    sample.shared_instance = shared;
+    sample.output = colored(*shared, seed);
+    return sample;
+  };
+  runner.run(decide::guarantee_side_plan("shared-graph", interned, decider,
+                                         true, 200, 5));
+  EXPECT_EQ(runner.ball_atlases().atlas_count(), 1u);
 }
 
 }  // namespace

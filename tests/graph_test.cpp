@@ -1,17 +1,21 @@
 // Tests for src/graph: CSR construction, generators, balls (the paper's
 // exact edge rule), ops, and metrics.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <set>
 #include <sstream>
 
 #include "graph/ball.h"
+#include "graph/ball_atlas.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
 #include "graph/ops.h"
+#include "rand/splitmix.h"
+#include "scenario/registry.h"
 
 namespace lnc::graph {
 namespace {
@@ -243,6 +247,140 @@ TEST(Ball, ScratchReuseIsBitIdenticalToFreshConstruction) {
       }
     }
   }
+}
+
+void expect_same_ball(const BallView& want, const BallView& got) {
+  ASSERT_EQ(want.size(), got.size());
+  ASSERT_EQ(want.radius(), got.radius());
+  ASSERT_TRUE(std::equal(want.members().begin(), want.members().end(),
+                         got.members().begin()));
+  for (NodeId i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want.distance(i), got.distance(i));
+    ASSERT_EQ(want.host_degree(i), got.host_degree(i));
+    const auto a = want.neighbors(i);
+    const auto b = got.neighbors(i);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
+  ASSERT_EQ(want.encoded_words(), got.encoded_words());
+  ASSERT_EQ(want.structure_signature(), got.structure_signature());
+}
+
+TEST(BallAtlas, EveryBallMatchesAFreshCollection) {
+  // The topology families of tests/topology_test.cpp, materialized.
+  const std::vector<std::pair<const char*, scenario::ParamMap>> families = {
+      {"ring", {}},
+      {"path", {}},
+      {"grid", {{"random-ids", 0}}},
+      {"torus", {{"random-ids", 0}}},
+      {"hypercube", {{"random-ids", 0}}},
+      {"binary-tree", {{"random-ids", 0}}},
+      {"random-regular", {{"random-ids", 0}}},
+      {"gnp", {{"random-ids", 0}}},
+  };
+  for (const auto& [name, params] : families) {
+    const scenario::TopologyEntry* entry = scenario::topologies().find(name);
+    ASSERT_NE(entry, nullptr) << name;
+    const Graph g = entry->build(64, scenario::merged_params(entry->schema,
+                                                             params),
+                                 rand::mix_keys(1, 64))
+                        .g;
+    for (int radius = 0; radius <= 4; ++radius) {
+      const auto built = BallAtlas::build(g, radius);
+      ASSERT_NE(built, nullptr) << name;
+      const BallAtlas& atlas = *built;
+      ASSERT_EQ(atlas.size(), g.node_count()) << name;
+      EXPECT_EQ(atlas.radius(), radius);
+      EXPECT_GT(atlas.bytes(), 0u);
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        SCOPED_TRACE(std::string(name) + " r=" + std::to_string(radius) +
+                     " v=" + std::to_string(v));
+        expect_same_ball(BallView(g, v, radius), atlas.ball(v));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(Graph, UidIsPerBuildSharedByCopies) {
+  EXPECT_EQ(Graph().uid(), 0u);
+  Graph a = cycle(8);
+  const Graph b = cycle(8);
+  EXPECT_NE(a.uid(), 0u);
+  EXPECT_NE(a.uid(), b.uid());  // same structure, separate builds
+  const Graph copy = a;
+  EXPECT_EQ(copy.uid(), a.uid());
+  const std::uint64_t uid = a.uid();
+  const Graph moved = std::move(a);
+  EXPECT_EQ(moved.uid(), uid);
+}
+
+TEST(BallAtlasCache, BuildsOnASecondRequesterOnly) {
+  const Graph g = cycle(12);
+  BallAtlasCache cache;
+  EXPECT_EQ(cache.find(g, 1, 0), nullptr);  // first request: collect
+  EXPECT_EQ(cache.find(g, 1, 0), nullptr);  // same requester again
+  EXPECT_EQ(cache.atlas_count(), 0u);
+  const BallAtlas* atlas = cache.find(g, 1, 1);
+  ASSERT_NE(atlas, nullptr);
+  EXPECT_EQ(atlas->radius(), 1);
+  EXPECT_EQ(cache.find(g, 1, 0), atlas);  // kept, and stable
+  EXPECT_EQ(cache.find(Graph(g), 1, 7), atlas);  // copies share the uid
+  EXPECT_EQ(cache.find(g, 2, 0), nullptr);  // radius is part of the key
+  EXPECT_EQ(cache.find(cycle(12), 1, 5), nullptr);  // new build, new key
+  EXPECT_EQ(cache.find(Graph(), 1, 0), nullptr);  // no uid, no atlas
+  EXPECT_EQ(cache.find(Graph(), 1, 1), nullptr);
+  EXPECT_EQ(cache.atlas_count(), 1u);
+}
+
+TEST(BallAtlasCache, DeclinesAtlasesOverTheByteBudget) {
+  // Even the views alone of this path exceed the budget, so the key is
+  // declined without collecting anything, and stays declined.
+  const auto n = static_cast<NodeId>(BallAtlasCache::kBudgetBytes /
+                                         sizeof(BallView) +
+                                     1);
+  const Graph g = path(n);
+  BallAtlasCache cache;
+  EXPECT_EQ(cache.find(g, 0, 0), nullptr);
+  EXPECT_EQ(cache.find(g, 0, 1), nullptr);
+  EXPECT_EQ(cache.find(g, 0, 2), nullptr);
+  EXPECT_EQ(cache.atlas_count(), 0u);
+}
+
+TEST(BallAtlas, BuildStopsAtTheFirstBallOverBudget) {
+  const Graph g = cycle(12);
+  const auto full = BallAtlas::build(g, 2);
+  ASSERT_NE(full, nullptr);
+  EXPECT_NE(BallAtlas::build(g, 2, full->bytes()), nullptr);
+  EXPECT_EQ(BallAtlas::build(g, 2, full->bytes() - 1), nullptr);
+  EXPECT_EQ(BallAtlas::build(g, 2, 0), nullptr);
+}
+
+// Peak resident set of this process, in bytes.
+std::size_t peak_rss_bytes() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::size_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
+}
+
+TEST(BallAtlasCache, DeclinesBallsOverBudgetWithoutCollectingThemAll) {
+  // The 4096 view headers of this hypercube fit in a 1 MiB budget, but
+  // its radius-4 balls (794 members each) take about 170 MB in all. The
+  // build must give up within the budget instead of collecting every ball
+  // first and checking the total afterwards.
+  const Graph g = hypercube(12);
+  constexpr std::size_t kBudget = std::size_t{1} << 20;
+  ASSERT_LE(std::size_t{g.node_count()} * sizeof(BallView), kBudget);
+  BallAtlasCache cache(kBudget);
+  const std::size_t peak_before = peak_rss_bytes();
+  EXPECT_EQ(cache.find(g, 4, 0), nullptr);  // first request: collect
+  EXPECT_EQ(cache.find(g, 4, 1), nullptr);  // declined
+  EXPECT_EQ(cache.find(g, 4, 2), nullptr);  // and stays declined
+  EXPECT_EQ(cache.atlas_count(), 0u);
+  EXPECT_LT(peak_rss_bytes() - peak_before, std::size_t{32} << 20);
+  // The same graph at radius 0 fits, and is kept.
+  EXPECT_EQ(cache.find(g, 0, 0), nullptr);
+  EXPECT_NE(cache.find(g, 0, 1), nullptr);
+  EXPECT_EQ(cache.atlas_count(), 1u);
 }
 
 TEST(Ops, DisjointUnion) {
