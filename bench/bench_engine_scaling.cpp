@@ -1,9 +1,8 @@
 // E12 — substrate validation: throughput of the synchronous engine, ball
 // collection, and ball views at the scales the E-series experiments use,
-// including the thread-pool ablation (parallel node stepping) and the
-// batched-vs-naive trial execution comparison. Components resolve from the
-// scenario registry; the Construction::RunOptions pool knob drives the
-// parallel-stepping ablation.
+// plus the batched-vs-naive trial execution comparison and the backend
+// ablation. Components resolve from the scenario registry. One trial runs
+// on one thread; the pooled rows parallelize across trials.
 #include "bench_common.h"
 
 #include <initializer_list>
@@ -29,42 +28,32 @@ using namespace lnc;
 void print_tables() {
   bench::print_header(
       "E12: simulation substrate throughput", "engine ablation",
-      "Node-rounds per second for the round engine (1 vs pool threads),\n"
-      "plus ball-collection cost — the substrate budget behind E2-E8.");
+      "Node-rounds per second for the round engine (one trial, one\n"
+      "thread), plus ball-collection cost — the substrate budget behind\n"
+      "E2-E8.");
 
-  util::Table table({"n", "engine 1-thread Mnr/s", "engine pooled Mnr/s",
-                     "collect_balls(r=2) ms"});
-  const stats::ThreadPool pool;
+  util::Table table({"n", "engine 1-thread Mnr/s", "collect_balls(r=2) ms"});
   const auto cole_vishkin = scenario::make_construction("cole-vishkin");
   for (graph::NodeId n : {1024u, 8192u, 32768u}) {
     const local::Instance inst = scenario::build_instance("hard-ring", n);
-    local::WorkerArena seq_arena;
+    local::WorkerArena arena;
     local::TrialEnv env;
-    env.arena = &seq_arena;
+    env.arena = &arena;
     local::Labeling colors;
 
     util::Timer t1;
-    const auto seq = cole_vishkin->run(inst, env, colors);
-    const double seq_s = t1.elapsed_seconds();
-    const double seq_nr =
-        static_cast<double>(n) * seq.rounds / seq_s / 1e6;
+    const auto run = cole_vishkin->run(inst, env, colors);
+    const double run_s = t1.elapsed_seconds();
+    const double node_rounds =
+        static_cast<double>(n) * run.rounds / run_s / 1e6;
 
-    local::WorkerArena par_arena;
-    env.arena = &par_arena;
     util::Timer t2;
-    const auto par = cole_vishkin->run(inst, env, colors, {&pool});
-    const double par_s = t2.elapsed_seconds();
-    const double par_nr =
-        static_cast<double>(n) * par.rounds / par_s / 1e6;
-
-    util::Timer t3;
     const auto tables = local::collect_balls(inst, 2);
-    const double collect_ms = t3.elapsed_millis();
+    const double collect_ms = t2.elapsed_millis();
 
     table.new_row()
         .add_cell(std::uint64_t{n})
-        .add_cell(seq_nr, 2)
-        .add_cell(par_nr, 2)
+        .add_cell(node_rounds, 2)
         .add_cell(collect_ms, 1);
     benchmark::DoNotOptimize(tables);
     benchmark::DoNotOptimize(colors);
@@ -493,7 +482,7 @@ void BM_CollectBalls(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectBalls)->Arg(512)->Arg(4096);
 
-void BM_RunBallAlgorithmParallel(benchmark::State& state) {
+void BM_RunBallAlgorithm(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const local::Instance inst = scenario::build_instance("hard-ring", n);
   class Rank final : public local::BallAlgorithm {
@@ -509,19 +498,12 @@ void BM_RunBallAlgorithmParallel(benchmark::State& state) {
     }
   };
   const Rank algo;
-  const stats::ThreadPool pool;
-  local::RunOptions options;
-  options.pool = state.range(1) != 0 ? &pool : nullptr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_ball_algorithm(inst, algo, options));
+    benchmark::DoNotOptimize(local::run_ball_algorithm(inst, algo));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_RunBallAlgorithmParallel)
-    ->Args({8192, 0})
-    ->Args({8192, 1})
-    ->Args({65536, 0})
-    ->Args({65536, 1});
+BENCHMARK(BM_RunBallAlgorithm)->Arg(8192)->Arg(65536);
 
 }  // namespace
 

@@ -25,8 +25,7 @@ import sys
 
 TELEMETRY_KEYS = {"messages", "words", "rounds", "ball_expansions",
                   "arena_peak_bytes", "wall_seconds"}
-OPTIMIZATION_KEYS = {"backend", "batch_trials", "use_silent_skip",
-                     "use_done_mask", "reuse_round_buffers"}
+OPTIMIZATION_KEYS = {"backend", "batch_trials"}
 BACKENDS = {"auto", "naive", "batched", "vectorized"}
 
 
@@ -46,9 +45,10 @@ def check_table(path):
         if missing:
             return f"telemetry object missing {sorted(missing)}"
     if "optimization" in data:
-        missing = OPTIMIZATION_KEYS - set(data["optimization"])
-        if missing:
-            return f"optimization object missing {sorted(missing)}"
+        keys = set(data["optimization"])
+        if keys != OPTIMIZATION_KEYS:
+            return (f"optimization keys {sorted(keys)} are not "
+                    f"{sorted(OPTIMIZATION_KEYS)}")
         backend = data["optimization"].get("backend")
         if backend not in BACKENDS:
             return f"optimization backend {backend!r} not in {sorted(BACKENDS)}"

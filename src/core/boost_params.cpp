@@ -94,12 +94,14 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
 /// saturating.
 std::uint64_t multiset_count(std::uint64_t alphabet, std::uint64_t d) {
   // Product formula with interleaved division keeps intermediates exact.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t result = 1;
   for (std::uint64_t i = 1; i <= d; ++i) {
+    // A saturated alphabet (pair_count at k >= 32) would wrap the
+    // numerator to 0; the count is out of range anyway.
+    if (alphabet > kMax - (i - 1)) return kMax;
     const std::uint64_t numerator = alphabet + i - 1;
-    if (result > std::numeric_limits<std::uint64_t>::max() / numerator) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
+    if (result > kMax / numerator) return kMax;
     result = result * numerator / i;
   }
   return result;

@@ -1,8 +1,6 @@
 #include "decide/evaluate.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <optional>
 
 #include "fault/fault.h"
@@ -47,59 +45,30 @@ DecisionOutcome evaluate_impl(const local::Instance& inst,
   const graph::BallFilter* filter =
       censor.has_value() ? &*censor : nullptr;
 
-  std::vector<char> rejected(n, 0);
-  const bool count_telemetry = options.telemetry != nullptr;
-  // Relaxed atomics: commutative sums, bit-identical whatever the node
-  // schedule (see local/runner.cpp).
-  std::atomic<std::uint64_t> announcements{0};
-  std::atomic<std::uint64_t> encoded_words{0};
-  std::atomic<std::uint64_t> expansions{0};
+  DecisionOutcome outcome;
+  local::Telemetry charged;
+  local::BallWorkspace local_workspace;
+  local::BallWorkspace& workspace =
+      options.ball != nullptr ? *options.ball : local_workspace;
   const local::BallSource balls(inst, radius, filter, options.ball);
-  auto body = [&](local::BallWorkspace& workspace, std::uint64_t v) {
-    if (counted[v] == 0) return;
-    const graph::BallView& ball =
-        balls.ball(static_cast<graph::NodeId>(v), workspace);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (counted[v] == 0) continue;
+    const graph::BallView& ball = balls.ball(v, workspace);
     local::View view;
     view.ball = &ball;
     view.instance = &inst;
     if (options.grant_n) view.n_nodes = n;
-    if (!verdict_at(view)) rejected[v] = 1;
-    if (count_telemetry) {
-      announcements.fetch_add(ball.size(), std::memory_order_relaxed);
-      encoded_words.fetch_add(ball.encoded_words(),
-                              std::memory_order_relaxed);
-      expansions.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  if (options.pool != nullptr) {
-    std::vector<local::BallWorkspace> workspaces(
-        options.pool->thread_count());
-    options.pool->parallel_for_workers(
-        n, [&](unsigned worker, std::uint64_t v) {
-          body(workspaces[worker], v);
-        });
-  } else {
-    local::BallWorkspace local_workspace;
-    local::BallWorkspace& workspace =
-        options.ball != nullptr ? *options.ball : local_workspace;
-    for (graph::NodeId v = 0; v < n; ++v) body(workspace, v);
-  }
-  if (count_telemetry) {
-    local::Telemetry& telemetry = *options.telemetry;
-    telemetry.messages_sent +=
-        announcements.load(std::memory_order_relaxed);
-    telemetry.words_sent += encoded_words.load(std::memory_order_relaxed);
-    telemetry.rounds_executed +=
-        static_cast<std::uint64_t>(std::max(radius, 1));
-    telemetry.ball_expansions += expansions.load(std::memory_order_relaxed);
-  }
-
-  DecisionOutcome outcome;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (rejected[v] != 0) {
+    if (!verdict_at(view)) {
       outcome.accepted = false;
       outcome.rejecting.push_back(v);
     }
+    charged.messages_sent += ball.size();
+    charged.words_sent += ball.encoded_words();
+    ++charged.ball_expansions;
+  }
+  if (options.telemetry != nullptr) {
+    charged.rounds_executed = static_cast<std::uint64_t>(std::max(radius, 1));
+    options.telemetry->merge(charged);
   }
   return outcome;
 }
@@ -112,7 +81,7 @@ DecisionOutcome evaluate(const local::Instance& inst,
                          const EvaluateOptions& options) {
   return evaluate_impl(inst, options, decider.radius(),
                        [&](const local::View& view) {
-                         DeciderView dv{view, output};
+                         DeciderView dv{view, output, {}};
                          return decider.accept(dv);
                        });
 }
@@ -124,7 +93,7 @@ DecisionOutcome evaluate(const local::Instance& inst,
                          const EvaluateOptions& options) {
   return evaluate_impl(inst, options, decider.radius(),
                        [&](const local::View& view) {
-                         DeciderView dv{view, output};
+                         DeciderView dv{view, output, {}};
                          return decider.accept(dv, coins);
                        });
 }

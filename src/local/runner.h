@@ -16,7 +16,6 @@
 #include "local/instance.h"
 #include "local/telemetry.h"
 #include "rand/coins.h"
-#include "stats/threadpool.h"
 
 namespace lnc::local {
 
@@ -67,7 +66,6 @@ class RandomizedBallAlgorithm {
 
 struct RunOptions {
   bool grant_n = false;
-  const stats::ThreadPool* pool = nullptr;
 
   /// When set, the run charges its modeled communication volume here (see
   /// local/telemetry.h: per inspected ball, one announcement per member
@@ -76,10 +74,9 @@ struct RunOptions {
   /// deterministic across thread counts.
   Telemetry* telemetry = nullptr;
 
-  /// Reusable ball storage for sequential runs (the batched Monte-Carlo
-  /// path passes its worker's slot, keeping capacity warm ACROSS trials).
-  /// Null still reuses one call-local workspace across the nodes of this
-  /// run; pooled runs manage one workspace per pool worker internally.
+  /// Reusable ball storage (the batched Monte-Carlo path passes its
+  /// worker's slot, keeping capacity warm ACROSS trials). Null still
+  /// reuses one call-local workspace across the nodes of this run.
   /// When the slot carries the runner's atlas cache, an unfiltered run
   /// over a materialized instance reads its balls from the atlas
   /// (local/ball_source.h) instead of collecting them.

@@ -70,7 +70,7 @@ std::optional<OptimizationConfig::Backend> backend_from_string(
 
 std::size_t VectorBatch::footprint_bytes() const noexcept {
   return rngs_.capacity() * sizeof(VecRng) + halted_.capacity() +
-         live_nodes_.capacity() * sizeof(std::uint32_t) + done_.capacity() +
+         live_nodes_.capacity() * sizeof(std::uint32_t) +
          rounds_.capacity() * sizeof(int) +
          (messages_.capacity() + words_.capacity()) * sizeof(std::uint64_t) +
          (live_trials_.capacity() + active_nodes_.capacity() +
@@ -80,22 +80,13 @@ std::size_t VectorBatch::footprint_bytes() const noexcept {
 
 void run_vector_batch(
     const Instance& inst, const NodeProgramFactory& factory,
-    std::span<const std::uint64_t> coin_keys, const OptimizationConfig& config,
-    VectorScratch& scratch, Telemetry* accumulate,
+    std::span<const std::uint64_t> coin_keys, VectorScratch& scratch,
+    Telemetry* accumulate,
     const std::function<void(std::uint32_t, const Labeling&, int,
                              const Telemetry&)>& finish) {
   const auto trials = static_cast<std::uint32_t>(coin_keys.size());
   if (trials == 0) return;
   const auto n = static_cast<std::uint32_t>(inst.node_count());
-
-  if (!config.reuse_round_buffers) {
-    // Arena-reuse ablation: forget the warm program and state arrays so
-    // every batch starts cold, exactly like a first call.
-    scratch.program_.reset();
-    scratch.last_factory_ = nullptr;
-    scratch.last_factory_name_.clear();
-    scratch.batch_ = VectorBatch{};
-  }
 
   const bool may_recycle = scratch.program_ != nullptr &&
                            scratch.last_factory_ == &factory &&
@@ -112,12 +103,10 @@ void run_vector_batch(
   batch.inst_ = &inst;
   batch.n_ = n;
   batch.trials_ = trials;
-  batch.config_ = config;
   const std::size_t total = static_cast<std::size_t>(trials) * n;
   batch.rngs_.resize(total);
   batch.halted_.assign(total, 0);
   batch.live_nodes_.assign(trials, n);
-  batch.done_.assign(trials, 0);
   batch.rounds_.assign(trials, 0);
   batch.messages_.assign(trials, 0);
   batch.words_.assign(trials, 0);
@@ -126,22 +115,13 @@ void run_vector_batch(
     VecRng* row = batch.rngs_.data() + batch.at(t, 0);
     for (std::uint32_t v = 0; v < n; ++v) row[v] = VecRng{key, inst.ids[v], 0};
   }
-  if (config.use_done_mask) {
-    batch.live_trials_.resize(trials);
-    std::iota(batch.live_trials_.begin(), batch.live_trials_.end(), 0u);
-  } else {
-    batch.live_trials_.clear();
-  }
-  if (config.use_silent_skip) {
-    batch.active_nodes_.resize(total);
-    batch.active_counts_.assign(trials, n);
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
-      std::iota(list, list + n, 0u);
-    }
-  } else {
-    batch.active_nodes_.clear();
-    batch.active_counts_.clear();
+  batch.live_trials_.resize(trials);
+  std::iota(batch.live_trials_.begin(), batch.live_trials_.end(), 0u);
+  batch.active_nodes_.resize(total);
+  batch.active_counts_.assign(trials, n);
+  for (std::uint32_t t = 0; t < trials; ++t) {
+    std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
+    std::iota(list, list + n, 0u);
   }
 
   program.init(batch);
@@ -151,38 +131,22 @@ void run_vector_batch(
   const auto settle = [&](int round) {
     const auto settle_trial = [&](std::uint32_t t) {
       if (batch.live_nodes_[t] == 0) {
-        batch.done_[t] = 1;
         batch.rounds_[t] = round;
         return true;
       }
-      if (config.use_silent_skip) {
-        std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
-        const std::uint32_t count = batch.active_counts_[t];
-        std::uint32_t kept = 0;
-        for (std::uint32_t k = 0; k < count; ++k) {
-          const std::uint32_t v = list[k];
-          if (batch.halted_[batch.at(t, v)] == 0) list[kept++] = v;
-        }
-        batch.active_counts_[t] = kept;
+      std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
+      const std::uint32_t count = batch.active_counts_[t];
+      std::uint32_t kept = 0;
+      for (std::uint32_t k = 0; k < count; ++k) {
+        const std::uint32_t v = list[k];
+        if (batch.halted_[batch.at(t, v)] == 0) list[kept++] = v;
       }
+      batch.active_counts_[t] = kept;
       return false;
     };
-    if (config.use_done_mask) {
-      auto& live = batch.live_trials_;
-      live.erase(std::remove_if(live.begin(), live.end(), settle_trial),
-                 live.end());
-    } else {
-      for (std::uint32_t t = 0; t < trials; ++t) {
-        if (batch.done_[t] == 0) settle_trial(t);
-      }
-    }
-  };
-  const auto any_live = [&] {
-    if (config.use_done_mask) return !batch.live_trials_.empty();
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      if (batch.done_[t] == 0) return true;
-    }
-    return false;
+    auto& live = batch.live_trials_;
+    live.erase(std::remove_if(live.begin(), live.end(), settle_trial),
+               live.end());
   };
 
   // Observability-only kernel timing and footprint: recorded into the
@@ -192,7 +156,7 @@ void run_vector_batch(
   const util::Timer kernel_timer;
   settle(0);
   int round = 0;
-  while (any_live()) {
+  while (!batch.live_trials_.empty()) {
     LNC_ASSERT(round < kMaxRounds);
     ++round;
     program.round(batch, round);

@@ -84,6 +84,13 @@ TEST(BoostParams, Radius1BallCensus) {
   EXPECT_LT(labeled_radius1_ball_count(2), labeled_radius1_ball_count(3));
   EXPECT_EQ(labeled_radius1_ball_count(40),
             std::numeric_limits<std::uint64_t>::max());
+  // From k = 32 on the (input, output) pair count itself saturates; the
+  // multiset count over that alphabet must saturate too, not wrap to a
+  // zero divisor.
+  EXPECT_EQ(labeled_radius1_ball_count(32),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(ordered_labeled_radius1_ball_count(40),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(HardInstances, ConsecutiveRingShape) {

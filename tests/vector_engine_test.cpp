@@ -1,6 +1,6 @@
 // Vector-engine backend tests: the acceptance gate of the trial-vectorized
 // SoA backend. Every backend (naive / batched / vectorized), every thread
-// count, every shard partition, and every OptimizationConfig toggle must
+// count, every shard partition, and every batch width must
 // produce bit-identical tallies, exact sums, counter slots, and
 // deterministic telemetry — forcing a backend is a performance choice,
 // never a results choice.
@@ -139,10 +139,10 @@ TEST(VectorEngine, UnevenShardMergeReproducesUnshardedRun) {
   expect_results_identical(whole, merged, "mixed-backend shard merge");
 }
 
-TEST(VectorEngine, OptimizationTogglesPreserveBitIdentity) {
-  // Each toggle changes HOW the batch iterates, never WHAT it computes:
-  // flipping any one of them (and shrinking the batch down to single-trial
-  // or a ragged 7) must reproduce the default configuration exactly.
+TEST(VectorEngine, BatchWidthPreservesBitIdentity) {
+  // The batch width changes HOW trials are grouped, never WHAT they
+  // compute: single-trial and ragged 7-wide batches must reproduce the
+  // default configuration exactly.
   const scenario::ScenarioSpec spec =
       shrunk_preset("rand-matching-rounds", 40);
   scenario::ScenarioSpec forced = spec;
@@ -161,22 +161,10 @@ TEST(VectorEngine, OptimizationTogglesPreserveBitIdentity) {
     mutate(plan.optimization);
     expect_tallies_identical(baseline, runner.run_shard(plan, range), what);
   };
-  variant("use_silent_skip=false",
-          [](OptimizationConfig& c) { c.use_silent_skip = false; });
-  variant("use_done_mask=false",
-          [](OptimizationConfig& c) { c.use_done_mask = false; });
-  variant("reuse_round_buffers=false",
-          [](OptimizationConfig& c) { c.reuse_round_buffers = false; });
   variant("batch_trials=1",
           [](OptimizationConfig& c) { c.batch_trials = 1; });
   variant("batch_trials=7",
           [](OptimizationConfig& c) { c.batch_trials = 7; });
-  variant("all toggles off, ragged batches", [](OptimizationConfig& c) {
-    c.use_silent_skip = false;
-    c.use_done_mask = false;
-    c.reuse_round_buffers = false;
-    c.batch_trials = 3;
-  });
 }
 
 TEST(VectorEngine, AutomaticConfigPicksSaneBackends) {
@@ -214,7 +202,7 @@ TEST(VectorEngine, DirectBatchMatchesScalarEngineTrialForTrial) {
       graph::cycle(48), ident::random_permutation(48, 11));
   const algo::LubyMisFactory factory;
   constexpr std::uint64_t kSeed = 1234;
-  constexpr std::uint32_t kTrials = 9;  // ragged vs the batch width below
+  constexpr std::uint32_t kTrials = 9;  // run as batches of 5 and 4 below
 
   std::vector<local::Labeling> scalar_outputs;
   std::vector<int> scalar_rounds;
@@ -233,9 +221,6 @@ TEST(VectorEngine, DirectBatchMatchesScalarEngineTrialForTrial) {
     scalar_deltas.push_back(result.telemetry);
   }
 
-  OptimizationConfig config;
-  config.backend = Backend::kVectorized;
-  config.batch_trials = 4;
   local::VectorScratch scratch;
   std::uint32_t seen = 0;
   // Two half-batches through the same scratch: the second run exercises
@@ -245,7 +230,7 @@ TEST(VectorEngine, DirectBatchMatchesScalarEngineTrialForTrial) {
         std::span<const std::uint64_t>(keys.data() + 5, kTrials - 5)}) {
     const std::uint32_t base = seen;
     local::run_vector_batch(
-        inst, factory, slice, config, scratch, nullptr,
+        inst, factory, slice, scratch, nullptr,
         [&](std::uint32_t trial, const local::Labeling& output, int rounds,
             const local::Telemetry& delta) {
           const std::uint32_t global = base + trial;
