@@ -32,24 +32,29 @@ DecisionOutcome evaluate_impl(const local::Instance& inst,
   // Fault censoring: crashed nodes cast no verdict, and surviving nodes
   // observe only the realized fault subgraph. Telemetry for the realized
   // faults is NOT charged here — the construction side owns that tally.
-  std::optional<fault::BallCensor> censor;
+  std::optional<fault::FaultSubgraph> local_censor;
+  const graph::BallFilter* filter = nullptr;
   if (options.fault != nullptr && !options.fault->trivial()) {
     LNC_EXPECTS(options.fault_coins != nullptr &&
                 "non-trivial fault model requires its coin stream");
-    censor.emplace(*options.fault, *options.fault_coins,
-                   [&inst](graph::NodeId v) { return inst.identity_of(v); });
+    LNC_EXPECTS(!inst.is_implicit() &&
+                "fault censoring requires a materialized instance");
+    fault::FaultSubgraph& censor = options.ball != nullptr
+                                       ? options.ball->faults
+                                       : local_censor.emplace();
+    censor.realize(*options.fault, *options.fault_coins, inst.g,
+                   inst.ids.raw(), /*links=*/radius > 0);
+    filter = &censor;
     for (graph::NodeId v = 0; v < n; ++v) {
-      if (counted[v] != 0 && censor->node_blocked(v)) counted[v] = 0;
+      if (censor.node_blocked(v)) counted[v] = 0;
     }
   }
-  const graph::BallFilter* filter =
-      censor.has_value() ? &*censor : nullptr;
 
   DecisionOutcome outcome;
   local::Telemetry charged;
-  local::BallWorkspace local_workspace;
+  std::optional<local::BallWorkspace> local_workspace;
   local::BallWorkspace& workspace =
-      options.ball != nullptr ? *options.ball : local_workspace;
+      options.ball != nullptr ? *options.ball : local_workspace.emplace();
   const local::BallSource balls(inst, radius, filter, options.ball);
   for (graph::NodeId v = 0; v < n; ++v) {
     if (counted[v] == 0) continue;

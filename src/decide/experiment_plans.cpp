@@ -119,6 +119,7 @@ local::ExperimentPlan construct_then_decide_plan(
             member_view.ball = &member_ws.ball;
             member_view.instance = &inst;
             if (options.grant_n) member_view.n_nodes = n;
+            member_view.coins = &c_coins;
             member_outputs[m] = algo.compute(member_view, c_coins);
             if (m == 0) {
               // The center's construction ball IS node v's construction-

@@ -16,123 +16,137 @@ constexpr std::uint64_t kCrashTag = 0xFA0C;  // per-node crash draws
 constexpr std::uint64_t kDropTag = 0xFA0D;   // per-(delivery, round) draws
 constexpr std::uint64_t kChurnTag = 0xFA0E;  // per-(edge, round) draws
 
-/// p as a 64-bit acceptance threshold: draw < threshold(p) happens with
-/// probability p (to within 2^-64). Short-circuits keep p = 0 exactly
-/// never and p = 1 exactly always, independent of rounding.
-bool bernoulli(double p, std::uint64_t draw) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  const double scaled = p * 0x1.0p64;
-  if (scaled >= 0x1.0p64) return true;
-  return draw < static_cast<std::uint64_t>(scaled);
+std::uint64_t crash_key(std::uint64_t identity) {
+  return rand::mix_keys(kCrashTag, identity);
 }
-
-/// Order-free key for the undirected edge {a, b}.
-std::uint64_t edge_key(std::uint64_t tag, std::uint64_t a, std::uint64_t b) {
-  return rand::mix_keys(tag, rand::mix_keys(std::min(a, b), std::max(a, b)));
-}
-
-class NoneModel final : public FaultModel {
- public:
-  std::string_view name() const noexcept override { return "none"; }
-  bool trivial() const noexcept override { return true; }
-};
-
-class DropModel final : public FaultModel {
- public:
-  explicit DropModel(double p_loss) : p_loss_(p_loss) {}
-
-  std::string_view name() const noexcept override { return "drop"; }
-
-  bool drops_delivery(const rand::CoinProvider& coins, std::uint64_t sender,
-                      std::uint64_t receiver,
-                      std::uint64_t round) const override {
-    // Directed key: the two deliveries across one edge are independent.
-    const std::uint64_t key =
-        rand::mix_keys(kDropTag, rand::mix_keys(sender, receiver));
-    return bernoulli(p_loss_, coins.draw(key, round));
-  }
-
-  EdgeFault ball_edge_fault(const rand::CoinProvider& coins,
-                            std::uint64_t id_a,
-                            std::uint64_t id_b) const override {
-    // Round-free path: ONE symmetric draw per edge per trial from the
-    // reserved round-0 slot (the engine only draws rounds >= 1). The
-    // view delivered over a lossy edge is either lost or not; the two
-    // directions collapsing into one draw is the model, not a shortcut.
-    const std::uint64_t key = edge_key(kDropTag, id_a, id_b);
-    return bernoulli(p_loss_, coins.draw(key, 0)) ? EdgeFault::kDropped
-                                                  : EdgeFault::kNone;
-  }
-
- private:
-  double p_loss_;
-};
-
-class CrashModel final : public FaultModel {
- public:
-  CrashModel(double p_crash, std::uint64_t crash_round_cap)
-      : p_crash_(p_crash), cap_(crash_round_cap) {
-    LNC_EXPECTS(cap_ >= 1);
-  }
-
-  std::string_view name() const noexcept override { return "crash"; }
-
-  std::uint64_t crash_round(const rand::CoinProvider& coins,
-                            std::uint64_t identity) const override {
-    const std::uint64_t key = rand::mix_keys(kCrashTag, identity);
-    if (!bernoulli(p_crash_, coins.draw(key, 0))) return kNeverCrashes;
-    // Crash round uniform-ish in [1, cap] (draw 1; modulo bias is
-    // irrelevant to the model, determinism is what matters).
-    return 1 + coins.draw(key, 1) % cap_;
-  }
-
- private:
-  double p_crash_;
-  std::uint64_t cap_;
-};
-
-class ChurnModel final : public FaultModel {
- public:
-  explicit ChurnModel(double p_churn) : p_churn_(p_churn) {}
-
-  std::string_view name() const noexcept override { return "churn"; }
-
-  bool edge_down(const rand::CoinProvider& coins, std::uint64_t id_a,
-                 std::uint64_t id_b, std::uint64_t round) const override {
-    return bernoulli(p_churn_, coins.draw(edge_key(kChurnTag, id_a, id_b),
-                                          round));
-  }
-
-  EdgeFault ball_edge_fault(const rand::CoinProvider& coins,
-                            std::uint64_t id_a,
-                            std::uint64_t id_b) const override {
-    // Reserved round-0 slot, same stream as the engine's per-round draws.
-    return edge_down(coins, id_a, id_b, 0) ? EdgeFault::kChurned
-                                           : EdgeFault::kNone;
-  }
-
- private:
-  double p_churn_;
-};
 
 }  // namespace
 
+Bernoulli::Bernoulli(double p) {
+  // p as a 64-bit acceptance threshold: draw < threshold happens with
+  // probability p. Scaled values that round up to 2^64 mean "always".
+  if (p <= 0.0) return;
+  const double scaled = p * 0x1.0p64;
+  if (p >= 1.0 || scaled >= 0x1.0p64) {
+    always_ = true;
+    return;
+  }
+  threshold_ = static_cast<std::uint64_t>(scaled);
+}
+
+FaultModel::FaultModel(std::string name, LinkDraws link, CrashDraws crash,
+                       bool trivial)
+    : name_(std::move(name)),
+      link_(link),
+      crash_(crash),
+      link_hit_(link.probability),
+      crash_hit_(crash.probability),
+      trivial_(trivial) {
+  LNC_EXPECTS(crash_.round_cap >= 1);
+}
+
+std::uint64_t FaultModel::edge_key(std::uint64_t a,
+                                   std::uint64_t b) const noexcept {
+  return rand::mix_keys(link_.tag,
+                        rand::mix_keys(std::min(a, b), std::max(a, b)));
+}
+
+std::uint64_t FaultModel::delivery_key(std::uint64_t sender,
+                                       std::uint64_t receiver) const noexcept {
+  return rand::mix_keys(link_.tag, rand::mix_keys(sender, receiver));
+}
+
+void FaultModel::link_keys(const graph::Graph& g,
+                           std::span<const std::uint64_t> identities,
+                           bool directed, std::vector<std::uint64_t>& keys,
+                           std::vector<std::size_t>& port_slot) const {
+  const graph::NodeId n = g.node_count();
+  LNC_EXPECTS(identities.size() == n);
+  keys.clear();
+  port_slot.resize(g.port_count());
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    for (std::size_t p = 0; p < nbrs.size(); ++p) {
+      const graph::NodeId u = nbrs[p];
+      const std::size_t port = g.port_offset(v) + p;
+      if (directed) {
+        port_slot[port] = keys.size();
+        keys.push_back(delivery_key(identities[u], identities[v]));
+      } else if (v < u) {
+        port_slot[port] = keys.size();
+        keys.push_back(edge_key(identities[v], identities[u]));
+      } else {
+        // The lower endpoint u already laid this edge's key out.
+        port_slot[port] = port_slot[g.port_offset(u) + g.port_of(u, v)];
+      }
+    }
+  }
+}
+
+void FaultModel::crash_rounds(const rand::CoinProvider& coins,
+                              std::span<const std::uint64_t> identities,
+                              std::vector<std::uint64_t>& out) const {
+  out.assign(identities.size(), kNeverCrashes);
+  if (crash_hit_.never()) return;
+  // Slot 0 decides whether a node crashes at all, drawn in place over the
+  // keys. The crash round, uniform-ish in [1, cap], comes from slot 1 for
+  // the nodes that do crash (modulo bias is irrelevant to the model;
+  // determinism is what matters).
+  std::transform(identities.begin(), identities.end(), out.begin(),
+                 crash_key);
+  coins.draw_column(out, 0, out);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = crash_hit_.hit(out[i])
+                 ? 1 + coins.draw(crash_key(identities[i]), 1) %
+                           crash_.round_cap
+                 : kNeverCrashes;
+  }
+}
+
 std::shared_ptr<const FaultModel> make_none() {
-  return std::make_shared<const NoneModel>();
+  return std::make_shared<const FaultModel>("none", LinkDraws{}, CrashDraws{},
+                                            /*trivial=*/true);
 }
 
 std::shared_ptr<const FaultModel> make_drop(double p_loss) {
-  return std::make_shared<const DropModel>(p_loss);
+  return std::make_shared<const FaultModel>(
+      "drop", LinkDraws{LinkFault::kDrop, kDropTag, p_loss}, CrashDraws{});
 }
 
 std::shared_ptr<const FaultModel> make_crash(double p_crash,
                                              std::uint64_t crash_round_cap) {
-  return std::make_shared<const CrashModel>(p_crash, crash_round_cap);
+  return std::make_shared<const FaultModel>(
+      "crash", LinkDraws{}, CrashDraws{p_crash, crash_round_cap});
 }
 
 std::shared_ptr<const FaultModel> make_churn(double p_churn) {
-  return std::make_shared<const ChurnModel>(p_churn);
+  return std::make_shared<const FaultModel>(
+      "churn", LinkDraws{LinkFault::kChurn, kChurnTag, p_churn}, CrashDraws{});
+}
+
+void FaultSubgraph::realize(const FaultModel& model,
+                            const rand::CoinProvider& coins,
+                            const graph::Graph& g,
+                            std::span<const std::uint64_t> identities,
+                            bool links) {
+  LNC_EXPECTS(identities.size() == g.node_count());
+  g_ = &g;
+  kind_ = model.link().kind;
+  model.crash_rounds(coins, identities, crash_rounds_);
+  faulty_.assign(g.port_count(), 0);
+  if (!links || !model.has_link_faults()) return;
+  // One symmetric draw per undirected edge from the reserved slot 0 (the
+  // engine only draws rounds >= 1); both ports of the edge read it.
+  model.link_keys(g, identities, /*directed=*/false, keys_, port_slot_);
+  draws_.resize(keys_.size());
+  coins.draw_column(keys_, 0, draws_);
+  for (std::size_t port = 0; port < faulty_.size(); ++port) {
+    faulty_[port] = model.link_hit(draws_[port_slot_[port]]) ? 1 : 0;
+  }
+}
+
+bool FaultSubgraph::edge_blocked(graph::NodeId a, graph::NodeId b) const {
+  return faulty_[g_->port_offset(a) + g_->port_of(a, b)] != 0;
 }
 
 }  // namespace lnc::fault

@@ -11,28 +11,38 @@
 // thread counts, shard partitions, and --trial-range slices — the same
 // contract every other layer of the stack already guarantees.
 //
-// Two execution paths consume a model differently:
+// A model is data, not a predicate: it names its link draws (LinkDraws:
+// kind, key tag, probability) and its crash draws (CrashDraws). Every
+// draw is fault_coins.draw(key, slot), with the key derived from the
+// identities involved (edge_key / delivery_key / crash_key) and the slot
+// a round index, so consumers lay a whole pass of keys out in one array
+// and fill its draws with one CoinProvider::draw_column call — the
+// batched Philox kernel — instead of asking the model port by port.
+//
+// Two execution paths consume a model:
 //
 //  * the MESSAGE ENGINE (local/engine.cpp) resolves faults round by
-//    round: crash_round() silences a node from its crash round onward,
-//    drops_delivery() / edge_down() suppress individual deliveries.
-//    Engine rounds are 1-based, so round index 0 is never drawn there;
+//    round: crash_rounds() fixes every node's crash round once per run,
+//    and each round one column of link draws (slot = the 1-based round)
+//    suppresses individual deliveries. Engine rounds start at 1, so slot
+//    0 is never drawn there;
 //  * the BALL PATH (ball collection + decider evaluation) has no rounds.
-//    It realizes a per-trial FAULT SUBGRAPH from the reserved round-0
-//    slots: ball_node_failed() erases crashed nodes, ball_edge_fault()
-//    erases faulty edges, and BallCensor adapts both to graph::BallFilter
-//    so collection happens inside the realized subgraph. The predicates
-//    are pure and hop-free, so censored collection stays well-defined and
-//    reusable; telemetry is charged once per trial by a separate sweep
-//    (local/experiment.cpp), never by the predicates themselves.
+//    FaultSubgraph realizes a per-call FAULT SUBGRAPH from the reserved
+//    slot 0 — failed nodes and faulty edges as bits — and serves them to
+//    ball collection as a graph::BallFilter, so collection happens
+//    inside the realized subgraph. Telemetry is charged once per trial
+//    from the same bits (local/experiment.cpp), never by the filter.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "graph/ball.h"
+#include "graph/graph.h"
 #include "rand/coins.h"
 
 namespace lnc::fault {
@@ -40,77 +50,97 @@ namespace lnc::fault {
 /// Sentinel crash round: the node never crashes.
 inline constexpr std::uint64_t kNeverCrashes = ~std::uint64_t{0};
 
-/// What the realized fault subgraph says about an edge (ball path).
-enum class EdgeFault {
-  kNone,     ///< edge intact
-  kDropped,  ///< delivery over the edge lost (charges messages_dropped)
-  kChurned,  ///< edge deactivated (charges edges_churned)
+/// Bernoulli(p) over 64-bit draws: hit(draw) happens with probability p
+/// (to within 2^-64). p <= 0 never hits and p >= 1 always does,
+/// independent of rounding.
+class Bernoulli {
+ public:
+  explicit Bernoulli(double p);
+
+  bool hit(std::uint64_t draw) const noexcept {
+    return always_ || draw < threshold_;
+  }
+  bool never() const noexcept { return !always_ && threshold_ == 0; }
+
+ private:
+  std::uint64_t threshold_ = 0;
+  bool always_ = false;
+};
+
+/// What a model's link draws realize.
+enum class LinkFault {
+  kNone,   ///< links are reliable
+  kDrop,   ///< deliveries are lost (charges messages_dropped). The engine
+           ///< draws each directed delivery per round (delivery_key); the
+           ///< ball path draws each undirected edge once (edge_key): the
+           ///< view crossing a lossy edge is lost or not
+  kChurn,  ///< an undirected edge is down for a whole round, both
+           ///< directions (edge_key; charges edges_churned)
+};
+
+struct LinkDraws {
+  LinkFault kind = LinkFault::kNone;
+  std::uint64_t tag = 0;      ///< sub-stream tag mixed into every key
+  double probability = 0.0;   ///< Pr[one draw realizes the fault]
+};
+
+struct CrashDraws {
+  double probability = 0.0;     ///< Pr[a node crashes at all] (slot 0)
+  std::uint64_t round_cap = 1;  ///< crash round = 1 + slot-1 draw % cap
 };
 
 class FaultModel {
  public:
-  virtual ~FaultModel() = default;
+  FaultModel(std::string name, LinkDraws link, CrashDraws crash,
+             bool trivial = false);
 
-  virtual std::string_view name() const noexcept = 0;
+  std::string_view name() const noexcept { return name_; }
 
   /// True only for the `none` model: a trivial model must realize no
   /// faults, and the harness bypasses the fault machinery entirely (the
   /// bit-stability contract with pre-fault runs depends on it).
-  virtual bool trivial() const noexcept { return false; }
+  bool trivial() const noexcept { return trivial_; }
 
-  /// First 1-based round at which the node with this identity is crashed
-  /// (silent from that round onward), or kNeverCrashes.
-  virtual std::uint64_t crash_round(
-      const rand::CoinProvider& coins, std::uint64_t identity) const {
-    (void)coins;
-    (void)identity;
-    return kNeverCrashes;
+  const LinkDraws& link() const noexcept { return link_; }
+  /// Whether link draws can realize anything (kind set, p > 0).
+  bool has_link_faults() const noexcept {
+    return link_.kind != LinkFault::kNone && !link_hit_.never();
+  }
+  bool link_hit(std::uint64_t draw) const noexcept {
+    return link_hit_.hit(draw);
   }
 
-  /// Whether the delivery sender -> receiver in 1-based round `round` is
-  /// lost. Directed: the two directions of an edge drop independently.
-  virtual bool drops_delivery(const rand::CoinProvider& coins,
-                              std::uint64_t sender, std::uint64_t receiver,
-                              std::uint64_t round) const {
-    (void)coins;
-    (void)sender;
-    (void)receiver;
-    (void)round;
-    return false;
-  }
+  /// Draw key of the undirected edge {a, b} (order-free).
+  std::uint64_t edge_key(std::uint64_t a, std::uint64_t b) const noexcept;
+  /// Draw key of the directed delivery sender -> receiver: the two
+  /// directions of an edge drop independently.
+  std::uint64_t delivery_key(std::uint64_t sender,
+                             std::uint64_t receiver) const noexcept;
 
-  /// Whether the undirected edge {a, b} is down for the whole 1-based
-  /// round `round` (both directions suppressed). Symmetric in a, b.
-  virtual bool edge_down(const rand::CoinProvider& coins, std::uint64_t id_a,
-                         std::uint64_t id_b, std::uint64_t round) const {
-    (void)coins;
-    (void)id_a;
-    (void)id_b;
-    (void)round;
-    return false;
-  }
+  /// Lays out the link draws of graph g (identities[v] for node v): one
+  /// key per undirected edge (edge_key, in the lower endpoint's port
+  /// order) or, when `directed`, one per port (delivery_key: port p of v
+  /// receives from neighbors(v)[p]). port_slot[g.port_offset(v) + p] is
+  /// the index in `keys` of the draw that port reads.
+  void link_keys(const graph::Graph& g,
+                 std::span<const std::uint64_t> identities, bool directed,
+                 std::vector<std::uint64_t>& keys,
+                 std::vector<std::size_t>& port_slot) const;
 
-  /// Ball path: whether this node is failed in the trial's realized fault
-  /// subgraph. Default: crashed at any round == failed — every node the
-  /// engine would eventually silence is censored from balls, a consistent
-  /// superset ("crashed between phases") that keeps the two paths' crash
-  /// draws shared.
-  virtual bool ball_node_failed(const rand::CoinProvider& coins,
-                                std::uint64_t identity) const {
-    return crash_round(coins, identity) != kNeverCrashes;
-  }
+  /// Every node's first 1-based crash round (kNeverCrashes if it never
+  /// crashes), in one batched pass: out[i] belongs to identities[i].
+  /// The ball path treats a node crashed at any round as failed.
+  void crash_rounds(const rand::CoinProvider& coins,
+                    std::span<const std::uint64_t> identities,
+                    std::vector<std::uint64_t>& out) const;
 
-  /// Ball path: the realized state of undirected edge {a, b}. Symmetric
-  /// in a, b; models draw from the reserved round-0 slots so the engine
-  /// rounds (>= 1) never collide.
-  virtual EdgeFault ball_edge_fault(const rand::CoinProvider& coins,
-                                    std::uint64_t id_a,
-                                    std::uint64_t id_b) const {
-    (void)coins;
-    (void)id_a;
-    (void)id_b;
-    return EdgeFault::kNone;
-  }
+ private:
+  std::string name_;
+  LinkDraws link_;
+  CrashDraws crash_;
+  Bernoulli link_hit_;
+  Bernoulli crash_hit_;
+  bool trivial_;
 };
 
 /// The four builtins behind the `faults` registry (scenario/builtins.cpp
@@ -121,32 +151,46 @@ std::shared_ptr<const FaultModel> make_crash(double p_crash,
                                              std::uint64_t crash_round_cap);
 std::shared_ptr<const FaultModel> make_churn(double p_churn);
 
-/// Adapts a FaultModel + the trial's fault coins to graph::BallFilter, so
-/// ball collection happens inside the trial's realized fault subgraph.
-/// `identity` maps an original graph index to the node identity the model
-/// keys its draws by (the same identities the engine path uses, so both
-/// paths censor the same nodes). Pure; safe to query repeatedly.
-class BallCensor final : public graph::BallFilter {
+/// The realized round-0 fault subgraph of one materialized graph, drawn
+/// once per realize() call with batched draws: a crash round per node and
+/// a faulty bit per port (both ports of an edge share one draw). As a
+/// graph::BallFilter it lets ball collection happen inside the subgraph;
+/// queries read bits and never draw. `identities[v]` is the identity the
+/// model keys node v's draws by — the same identities the engine path
+/// uses, so both paths censor the same nodes.
+class FaultSubgraph final : public graph::BallFilter {
  public:
-  using IdentityFn = std::function<std::uint64_t(graph::NodeId)>;
+  /// `links` = false skips the link draws, for consumers that query no
+  /// edge (radius-0 balls, no telemetry charge): every edge reads intact.
+  void realize(const FaultModel& model, const rand::CoinProvider& coins,
+               const graph::Graph& g,
+               std::span<const std::uint64_t> identities, bool links = true);
 
-  BallCensor(const FaultModel& model, const rand::CoinProvider& coins,
-             IdentityFn identity)
-      : model_(&model), coins_(&coins), identity_(std::move(identity)) {}
+  /// What a faulty edge of this subgraph charges (kDrop or kChurn).
+  LinkFault link_kind() const noexcept { return kind_; }
 
+  /// A node crashed at any round is failed: every node the engine would
+  /// eventually silence is censored from balls, a consistent superset
+  /// ("crashed between phases") that keeps the two paths' crash draws
+  /// shared.
   bool node_blocked(graph::NodeId v) const override {
-    return model_->ball_node_failed(*coins_, identity_(v));
+    return crash_rounds_[v] != kNeverCrashes;
   }
+  bool edge_blocked(graph::NodeId a, graph::NodeId b) const override;
 
-  bool edge_blocked(graph::NodeId a, graph::NodeId b) const override {
-    return model_->ball_edge_fault(*coins_, identity_(a), identity_(b)) !=
-           EdgeFault::kNone;
+  /// Whether port p of v (the edge to g.neighbors(v)[p]) is faulty.
+  bool port_blocked(graph::NodeId v, std::size_t p) const noexcept {
+    return faulty_[g_->port_offset(v) + p] != 0;
   }
 
  private:
-  const FaultModel* model_;
-  const rand::CoinProvider* coins_;
-  IdentityFn identity_;
+  const graph::Graph* g_ = nullptr;
+  LinkFault kind_ = LinkFault::kNone;
+  std::vector<std::uint64_t> crash_rounds_;
+  std::vector<char> faulty_;  // per port, indexed by g.port_offset(v) + p
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::size_t> port_slot_;
+  std::vector<std::uint64_t> draws_;
 };
 
 }  // namespace lnc::fault

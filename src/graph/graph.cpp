@@ -26,6 +26,12 @@ bool Graph::has_edge(NodeId u, NodeId v) const noexcept {
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
+std::size_t Graph::port_of(NodeId v, NodeId u) const noexcept {
+  const auto nbrs = neighbors(v);
+  return static_cast<std::size_t>(
+      std::lower_bound(nbrs.begin(), nbrs.end(), u) - nbrs.begin());
+}
+
 std::vector<Edge> Graph::edges() const {
   std::vector<Edge> result;
   result.reserve(edge_count());

@@ -61,6 +61,14 @@ class Graph : public Topology {
   /// Binary search over the sorted neighbor list.
   bool has_edge(NodeId u, NodeId v) const noexcept;
 
+  /// Ports: slot p of v's neighbor list is flat port port_offset(v) + p,
+  /// in [0, port_count()) — the index per-port tables are laid out by.
+  std::size_t port_offset(NodeId v) const noexcept { return offsets_[v]; }
+  std::size_t port_count() const noexcept { return adjacency_.size(); }
+  /// The port of u in v's neighbor list (binary search; u must be a
+  /// neighbor of v).
+  std::size_t port_of(NodeId v, NodeId u) const noexcept;
+
   /// All edges, each reported once with u < v, sorted lexicographically.
   std::vector<Edge> edges() const;
 

@@ -1,5 +1,7 @@
 #include "lang/language.h"
 
+#include <optional>
+
 namespace lnc::lang {
 
 bool LclLanguage::contains_impl(const local::Instance& inst,
@@ -12,9 +14,9 @@ std::vector<graph::NodeId> LclLanguage::bad_ball_centers(
     const local::Instance& inst, std::span<const local::Label> output,
     local::BallWorkspace* balls) const {
   std::vector<graph::NodeId> centers;
-  local::BallWorkspace local_workspace;
+  std::optional<local::BallWorkspace> local_workspace;
   local::BallWorkspace& workspace =
-      balls != nullptr ? *balls : local_workspace;
+      balls != nullptr ? *balls : local_workspace.emplace();
   const local::BallSource source(inst, radius(), nullptr, balls);
   for (graph::NodeId v = 0; v < inst.node_count(); ++v) {
     LabeledBall labeled{&source.ball(v, workspace), &inst, output, {}};

@@ -7,9 +7,11 @@
 
 #include <cstdint>
 
+#include "fault/fault.h"
 #include "graph/ball.h"
 #include "graph/ball_atlas.h"
 #include "local/instance.h"
+#include "rand/coins.h"
 
 namespace lnc::local {
 
@@ -25,6 +27,11 @@ class BallWorkspace {
  public:
   graph::BallView ball;
   graph::BallScratch scratch;
+  /// The ball runner's per-run coin prefix (local/runner.h, View::coin).
+  rand::CoinTable coins;
+  /// The realized fault subgraph of a censored run (ball runner and
+  /// decider evaluation), kept here so its storage stays warm too.
+  fault::FaultSubgraph faults;
 
   /// Serves later atlas() calls from `cache` (null: none) on behalf of
   /// `requester` (the trial index; see BallAtlasCache::find).

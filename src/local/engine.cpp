@@ -98,22 +98,27 @@ EngineResult run_engine(const Instance& inst,
   s.last_factory_name_ = factory.name();
 
   // Resolve the adversary once per run: crash rounds are pure per-node
-  // draws, the per-port suppression bitmap is refilled by a deterministic
-  // pass each round.
+  // draws, and the link draws' keys depend only on the identities, so
+  // they are laid out here — one per undirected edge for churn, one per
+  // port (directed delivery) for drop. Each round then fills all of its
+  // link draws with one batched column (slot = the round).
   const bool fault_active =
       options.fault != nullptr && !options.fault->trivial();
+  const bool link_faults = fault_active && options.fault->has_link_faults();
+  const bool churn = link_faults && options.fault->link().kind ==
+                                        fault::LinkFault::kChurn;
   if (fault_active) {
     LNC_EXPECTS(options.fault_coins != nullptr &&
                 "non-trivial fault model requires its coin stream");
-    s.crash_rounds_.resize(n);
+    options.fault->crash_rounds(*options.fault_coins, inst.ids.raw(),
+                                s.crash_rounds_);
     s.dead_.assign(n, 0);
-    s.port_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      s.crash_rounds_[v] =
-          options.fault->crash_round(*options.fault_coins, inst.ids[v]);
-      s.port_offsets_[v + 1] = s.port_offsets_[v] + inst.g.degree(v);
-    }
-    s.suppressed_.assign(s.port_offsets_[n], 0);
+  }
+  if (link_faults) {
+    options.fault->link_keys(inst.g, inst.ids.raw(), /*directed=*/!churn,
+                             s.link_keys_, s.port_slot_);
+    s.link_draws_.resize(s.link_keys_.size());
+    s.suppressed_.assign(inst.g.port_count(), 0);
   }
 
   auto all_halted = [&]() {
@@ -187,25 +192,29 @@ EngineResult run_engine(const Instance& inst,
         run_telemetry.words_sent += words;
       }
     }
-    // Link-fault pass (after the send barrier): fill the per-port
-    // suppression bitmap for this round and tally what was realized.
-    // Every draw is keyed by (identities, round), so the bitmap — and the
-    // counters — are independent of thread count.
-    if (fault_active) {
-      const auto& model = *options.fault;
-      const auto& fcoins = *options.fault_coins;
+    // Link-fault pass (after the send barrier): draw this round's column
+    // in bulk, then fill the per-port suppression bitmap and tally what
+    // was realized. Every draw is keyed by (identities, round), so the
+    // bitmap — and the counters — are independent of thread count.
+    if (link_faults) {
+      const fault::FaultModel& model = *options.fault;
+      options.fault_coins->draw_column(
+          s.link_keys_, static_cast<std::uint64_t>(round), s.link_draws_);
       for (graph::NodeId v = 0; v < n; ++v) {
         const auto nbrs = inst.g.neighbors(v);
         for (std::size_t p = 0; p < nbrs.size(); ++p) {
           const graph::NodeId u = nbrs[p];
-          char& slot = s.suppressed_[s.port_offsets_[v] + p];
+          const std::size_t port = inst.g.port_offset(v) + p;
+          char& slot = s.suppressed_[port];
           slot = 0;
-          if (model.edge_down(fcoins, inst.ids[v], inst.ids[u],
-                              static_cast<std::uint64_t>(round))) {
-            slot = 1;
-            // One (edge, round) deactivation == one churn event; count it
-            // at the lower endpoint so each unordered pair counts once.
-            if (v < u) ++run_telemetry.edges_churned;
+          if (churn) {
+            if (model.link_hit(s.link_draws_[s.port_slot_[port]])) {
+              slot = 1;
+              // One (edge, round) deactivation == one churn event; count
+              // it at the lower endpoint so each unordered pair counts
+              // once.
+              if (v < u) ++run_telemetry.edges_churned;
+            }
             continue;
           }
           // A drop is only an event when there was a delivery to lose: a
@@ -214,8 +223,7 @@ EngineResult run_engine(const Instance& inst,
               s.store_.message(u).empty()) {
             continue;
           }
-          if (model.drops_delivery(fcoins, inst.ids[u], inst.ids[v],
-                                   static_cast<std::uint64_t>(round))) {
+          if (model.link_hit(s.link_draws_[s.port_slot_[port]])) {
             slot = 1;
             ++run_telemetry.messages_dropped;
           }
@@ -224,9 +232,10 @@ EngineResult run_engine(const Instance& inst,
     }
     for (graph::NodeId v = 0; v < n; ++v) {
       if (s.halted_[v] != 0) continue;
-      const Inbox inbox(
-          s.store_, inst.g.neighbors(v),
-          fault_active ? s.suppressed_.data() + s.port_offsets_[v] : nullptr);
+      const Inbox inbox(s.store_, inst.g.neighbors(v),
+                        link_faults
+                            ? s.suppressed_.data() + inst.g.port_offset(v)
+                            : nullptr);
       if (s.programs_[v]->receive(round, inbox)) s.halted_[v] = 1;
     }
   }

@@ -221,12 +221,15 @@ class EngineScratch {
   std::vector<char> halted_;
   MessageStore store_;
   // Fault-pass storage (sized/filled only when a non-trivial fault model
-  // is active): per-node crash rounds and dead flags, plus a per-port
-  // suppression bitmap addressed by port_offsets_ (prefix degrees).
+  // is active): per-node crash rounds and dead flags; with link faults,
+  // the run's link-draw keys, one round's draws, each port's draw slot
+  // and the per-port suppression bitmap (ports: Graph::port_offset).
   std::vector<std::uint64_t> crash_rounds_;
   std::vector<char> dead_;
+  std::vector<std::uint64_t> link_keys_;
+  std::vector<std::uint64_t> link_draws_;
+  std::vector<std::size_t> port_slot_;
   std::vector<char> suppressed_;
-  std::vector<std::size_t> port_offsets_;
   // Which factory populated programs_ — recycling is only attempted when
   // the same factory (by address AND name, to survive address reuse) runs
   // again on this scratch.

@@ -16,20 +16,28 @@ bool fault_engaged(const ExecOptions& options) {
 /// Shared kBalls fault plumbing: censor the run and charge the realized
 /// faults (once per trial — this is the ball path's ONLY charging site).
 template <typename RunBody>
-void run_censored_balls(const Instance& inst, const ExecOptions& options,
-                        RunOptions& run_options, RunBody&& run) {
-  std::optional<fault::BallCensor> censor;
-  if (fault_engaged(options)) {
-    LNC_EXPECTS(options.fault_coins != nullptr &&
-                "non-trivial fault model requires its coin stream");
-    censor.emplace(*options.fault, *options.fault_coins,
-                   [&inst](graph::NodeId v) { return inst.identity_of(v); });
-    run_options.ball_filter = &*censor;
+void run_censored_balls(const Instance& inst, int radius,
+                        const ExecOptions& options, RunOptions& run_options,
+                        RunBody&& run) {
+  if (!fault_engaged(options)) {
+    run();
+    return;
   }
+  LNC_EXPECTS(options.fault_coins != nullptr &&
+              "non-trivial fault model requires its coin stream");
+  LNC_EXPECTS(!inst.is_implicit() &&
+              "fault censoring requires a materialized instance");
+  std::optional<fault::FaultSubgraph> local_censor;
+  fault::FaultSubgraph& censor = options.arena != nullptr
+                                     ? options.arena->ball_workspace().faults
+                                     : local_censor.emplace();
+  // Edges matter to balls of radius >= 1 and to the telemetry charge.
+  censor.realize(*options.fault, *options.fault_coins, inst.g,
+                 inst.ids.raw(), radius > 0 || options.arena != nullptr);
+  run_options.ball_filter = &censor;
   run();
-  if (censor.has_value() && options.arena != nullptr) {
-    charge_fault_telemetry(inst, *options.fault, *options.fault_coins,
-                           options.arena->telemetry());
+  if (options.arena != nullptr) {
+    charge_fault_telemetry(inst.g, censor, options.arena->telemetry());
   }
 }
 
@@ -149,32 +157,24 @@ void run_two_phase_mode(const Instance& inst, int radius,
 
 }  // namespace
 
-void charge_fault_telemetry(const Instance& inst,
-                            const fault::FaultModel& model,
-                            const rand::CoinProvider& fault_coins,
+void charge_fault_telemetry(const graph::Graph& g,
+                            const fault::FaultSubgraph& faults,
                             Telemetry& telemetry) {
-  const graph::NodeId n = inst.node_count();
-  auto failed = [&](graph::NodeId v) {
-    return model.ball_node_failed(fault_coins, inst.identity_of(v));
-  };
+  const graph::NodeId n = g.node_count();
+  std::uint64_t& faulty_edges =
+      faults.link_kind() == fault::LinkFault::kDrop ? telemetry.messages_dropped
+                                                    : telemetry.edges_churned;
   for (graph::NodeId v = 0; v < n; ++v) {
-    if (failed(v)) ++telemetry.nodes_crashed;
-  }
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (failed(v)) continue;
-    for (graph::NodeId w : inst.g.neighbors(v)) {
-      // Each surviving undirected edge is drawn once (lower endpoint).
-      if (w <= v || failed(w)) continue;
-      switch (model.ball_edge_fault(fault_coins, inst.identity_of(v),
-                                    inst.identity_of(w))) {
-        case fault::EdgeFault::kDropped:
-          ++telemetry.messages_dropped;
-          break;
-        case fault::EdgeFault::kChurned:
-          ++telemetry.edges_churned;
-          break;
-        case fault::EdgeFault::kNone:
-          break;
+    if (faults.node_blocked(v)) {
+      ++telemetry.nodes_crashed;
+      continue;
+    }
+    const auto nbrs = g.neighbors(v);
+    for (std::size_t p = 0; p < nbrs.size(); ++p) {
+      // Each surviving undirected edge counts once (lower endpoint).
+      const graph::NodeId w = nbrs[p];
+      if (w > v && !faults.node_blocked(w) && faults.port_blocked(v, p)) {
+        ++faulty_edges;
       }
     }
   }
@@ -203,7 +203,7 @@ void run_construction_into(const Instance& inst, const BallAlgorithm& algo,
         run_options.telemetry = &options.arena->telemetry();
         run_options.ball = &options.arena->ball_workspace();
       }
-      run_censored_balls(inst, options, run_options, [&] {
+      run_censored_balls(inst, algo.radius(), options, run_options, [&] {
         run_ball_algorithm_into(inst, algo, output, run_options);
       });
       return;
@@ -239,7 +239,7 @@ void run_construction_into(const Instance& inst,
         run_options.telemetry = &options.arena->telemetry();
         run_options.ball = &options.arena->ball_workspace();
       }
-      run_censored_balls(inst, options, run_options, [&] {
+      run_censored_balls(inst, algo.radius(), options, run_options, [&] {
         run_ball_algorithm_into(inst, algo, coins, output, run_options);
       });
       return;
@@ -250,7 +250,9 @@ void run_construction_into(const Instance& inst,
       run_messages_mode(
           inst, algo.name(), algo.radius(),
           [&algo, &coins](const View& view) {
-            return algo.compute(view, coins);
+            View with_coins = view;
+            with_coins.coins = &coins;
+            return algo.compute(with_coins, coins);
           },
           output, options);
       return;
@@ -260,7 +262,9 @@ void run_construction_into(const Instance& inst,
       run_two_phase_mode(
           inst, algo.radius(),
           [&algo, &coins](const View& view) {
-            return algo.compute(view, coins);
+            View with_coins = view;
+            with_coins.coins = &coins;
+            return algo.compute(with_coins, coins);
           },
           output, options);
       return;

@@ -25,6 +25,7 @@
 
 namespace lnc::fault {
 class FaultModel;
+class FaultSubgraph;
 }
 
 namespace lnc::local {
@@ -52,13 +53,13 @@ struct ExecOptions {
 
 /// Tallies the realized fault subgraph of one trial into `telemetry`:
 /// every failed node (nodes_crashed) and, between surviving nodes, every
-/// dropped or churned edge (messages_dropped / edges_churned). A pure
-/// function of (model, fault coins, instance identities) — the ball
-/// path's deterministic fault accounting, charged exactly once per trial
-/// by run_construction_into. Requires a materialized instance.
-void charge_fault_telemetry(const Instance& inst,
-                            const fault::FaultModel& model,
-                            const rand::CoinProvider& fault_coins,
+/// faulty edge (messages_dropped for a drop model, edges_churned for
+/// churn). Reads the subgraph's bits — a pure function of (model, fault
+/// coins, instance identities) — and is the ball path's deterministic
+/// fault accounting, charged exactly once per trial by
+/// run_construction_into.
+void charge_fault_telemetry(const graph::Graph& g,
+                            const fault::FaultSubgraph& faults,
                             Telemetry& telemetry);
 
 /// Runs a deterministic construction algorithm in the given mode.

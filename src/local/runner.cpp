@@ -1,13 +1,18 @@
 #include "local/runner.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace lnc::local {
 namespace {
 
+/// `coins` is null for deterministic runs; `coins_per_node` is the
+/// algorithm's declared coin prefix (RandomizedBallAlgorithm).
 template <typename ComputeAtNode>
 void run_per_node(const Instance& inst, int radius, const RunOptions& options,
-                  Labeling& output, ComputeAtNode&& compute) {
+                  const rand::CoinProvider* coins,
+                  std::uint64_t coins_per_node, Labeling& output,
+                  ComputeAtNode&& compute) {
   inst.validate();
   const graph::NodeId n = inst.node_count();
   output.assign(n, 0);
@@ -15,10 +20,21 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
   // One workspace for the whole run even without a caller slot — the
   // per-node allocations collapse either way; the caller's slot only adds
   // cross-call (per-trial) reuse.
-  BallWorkspace local_workspace;
+  std::optional<BallWorkspace> local_workspace;
   BallWorkspace& workspace =
-      options.ball != nullptr ? *options.ball : local_workspace;
+      options.ball != nullptr ? *options.ball : local_workspace.emplace();
   const BallSource balls(inst, radius, options.ball_filter, options.ball);
+  // The coin prefix every ball will read, drawn once for the whole run.
+  // Only Philox coins have the bulk kernel (and any other provider, such
+  // as CountingCoins, must observe every draw), and an implicit instance
+  // keeps its memory ball-bounded, so those runs draw per read.
+  const rand::CoinTable* coin_table = nullptr;
+  if (coins_per_node > 0 && !inst.is_implicit()) {
+    if (const auto* philox = dynamic_cast<const rand::PhiloxCoins*>(coins)) {
+      workspace.coins.fill(*philox, inst.ids.raw(), coins_per_node);
+      coin_table = &workspace.coins;
+    }
+  }
   for (graph::NodeId v = 0; v < n; ++v) {
     if (options.ball_filter != nullptr &&
         options.ball_filter->node_blocked(v)) {
@@ -29,6 +45,8 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
     view.ball = &ball;
     view.instance = &inst;
     if (options.grant_n) view.n_nodes = n;
+    view.coins = coins;
+    view.coin_table = coin_table;
     output[v] = compute(view);
     charged.messages_sent += ball.size();
     charged.words_sent += ball.encoded_words();
@@ -46,7 +64,7 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
 
 void run_ball_algorithm_into(const Instance& inst, const BallAlgorithm& algo,
                              Labeling& output, const RunOptions& options) {
-  run_per_node(inst, algo.radius(), options, output,
+  run_per_node(inst, algo.radius(), options, nullptr, 0, output,
                [&](const View& view) { return algo.compute(view); });
 }
 
@@ -54,9 +72,9 @@ void run_ball_algorithm_into(const Instance& inst,
                              const RandomizedBallAlgorithm& algo,
                              const rand::CoinProvider& coins, Labeling& output,
                              const RunOptions& options) {
-  run_per_node(inst, algo.radius(), options, output, [&](const View& view) {
-    return algo.compute(view, coins);
-  });
+  run_per_node(inst, algo.radius(), options, &coins, algo.coins_per_node(),
+               output,
+               [&](const View& view) { return algo.compute(view, coins); });
 }
 
 Labeling run_ball_algorithm(const Instance& inst, const BallAlgorithm& algo,

@@ -31,9 +31,28 @@ struct View {
   std::optional<std::uint64_t> n_nodes;  ///< set when knowledge of n granted
   const std::vector<ident::Identity>* id_override = nullptr;
 
+  /// The run's coins (randomized runs only; every caller of
+  /// RandomizedBallAlgorithm::compute sets it to the coins it passes).
+  const rand::CoinProvider* coins = nullptr;
+  /// The run's pre-drawn coin prefix, indexed by ORIGINAL node: set by
+  /// the ball runner for PhiloxCoins on a materialized instance when the
+  /// algorithm declares coins_per_node() > 0 (see coin()).
+  const rand::CoinTable* coin_table = nullptr;
+
   ident::Identity identity(graph::NodeId local) const noexcept {
     if (id_override != nullptr) return (*id_override)[local];
     return instance->identity_of(ball->to_original(local));
+  }
+  /// Draw j of the member's private coins: coins->draw(identity(local), j).
+  /// Reads the coin table when it holds that draw; an id_override view
+  /// keys its coins by the substituted identity, which the table (keyed
+  /// by the instance's identities) does not, so it always draws.
+  std::uint64_t coin(graph::NodeId local, std::uint64_t j) const {
+    if (coin_table != nullptr && id_override == nullptr &&
+        j < coin_table->width()) {
+      return coin_table->draw(ball->to_original(local), j);
+    }
+    return coins->draw(identity(local), j);
   }
   Label input(graph::NodeId local) const noexcept {
     return instance->input_of(ball->to_original(local));
@@ -62,6 +81,13 @@ class RandomizedBallAlgorithm {
   virtual int radius() const = 0;
   virtual Label compute(const View& view,
                         const rand::CoinProvider& coins) const = 0;
+
+  /// How many leading draws per node (indices 0..k-1) compute() reads
+  /// through View::coin. A property of the algorithm: the ball runner
+  /// pre-draws that prefix for every node once per run, in bulk, instead
+  /// of once per ball that contains the node. 0 (the default) pre-draws
+  /// nothing.
+  virtual std::uint64_t coins_per_node() const { return 0; }
 };
 
 struct RunOptions {

@@ -82,7 +82,9 @@ SimulationResult run_via_messages(const Instance& inst,
                                   const rand::CoinProvider& coins,
                                   const EngineOptions& options) {
   return simulate_impl(inst, algo.radius(), options, [&](const View& view) {
-    return algo.compute(view, coins);
+    View with_coins = view;
+    with_coins.coins = &coins;
+    return algo.compute(with_coins, coins);
   });
 }
 

@@ -91,7 +91,11 @@ std::string Histogram::to_json() const {
     if (n == 0) continue;
     if (!first) out += ", ";
     first = false;
-    out += "[" + std::to_string(i) + ", " + std::to_string(n) + "]";
+    out += '[';
+    out += std::to_string(i);
+    out += ", ";
+    out += std::to_string(n);
+    out += ']';
   }
   out += "]}";
   return out;

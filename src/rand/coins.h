@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "rand/philox.h"
 #include "rand/splitmix.h"
@@ -38,6 +40,18 @@ class CoinProvider {
   /// identity. Must be a pure function (thread-safe, no state).
   virtual std::uint64_t draw(std::uint64_t identity,
                              std::uint64_t draw_index) const = 0;
+
+  /// out[i] = draw(identities[i], draw_index) for every i (the spans have
+  /// equal length; `out` may be `identities` itself, drawing in place).
+  /// The default is a loop over draw(); PhiloxCoins fills the whole
+  /// column through philox_u64_batch, bit for bit the same.
+  virtual void draw_column(std::span<const std::uint64_t> identities,
+                           std::uint64_t draw_index,
+                           std::span<std::uint64_t> out) const {
+    for (std::size_t i = 0; i < identities.size(); ++i) {
+      out[i] = draw(identities[i], draw_index);
+    }
+  }
 };
 
 /// The production provider: Philox4x32-10 keyed by (seed, stream).
@@ -50,6 +64,10 @@ class PhiloxCoins final : public CoinProvider {
                      std::uint64_t draw_index) const override {
     return philox_u64(key_, identity, draw_index);
   }
+
+  void draw_column(std::span<const std::uint64_t> identities,
+                   std::uint64_t draw_index,
+                   std::span<std::uint64_t> out) const override;
 
   std::uint64_t key() const noexcept { return key_; }
 
@@ -113,6 +131,30 @@ class NodeRng {
   const CoinProvider* provider_;
   std::uint64_t identity_;
   std::uint64_t counter_ = 0;
+};
+
+/// The leading `width` draws of every identity in a list, filled once in
+/// bulk: draw(i, j) == coins.draw(identities[i], j) for j < width. The
+/// ball runner (local/runner.h) keeps one per worker, so an algorithm
+/// that reads the same node's coins from many overlapping balls pays one
+/// batched Philox pass per run instead of one serial draw per read.
+class CoinTable {
+ public:
+  void fill(const PhiloxCoins& coins,
+            std::span<const std::uint64_t> identities, std::uint64_t width);
+
+  std::uint64_t width() const noexcept { return width_; }
+
+  /// Column-major (draw index, then position): one column per fill pass.
+  std::uint64_t draw(std::size_t position,
+                     std::uint64_t draw_index) const noexcept {
+    return draws_[draw_index * count_ + position];
+  }
+
+ private:
+  std::vector<std::uint64_t> draws_;
+  std::size_t count_ = 0;
+  std::uint64_t width_ = 0;
 };
 
 /// Hash of the full coin prefix a node consumed — a compact fingerprint of

@@ -24,7 +24,8 @@ std::uint64_t philox_u64(std::uint64_t key, std::uint64_t counter_hi,
                          std::uint64_t counter_lo) noexcept;
 
 /// Bulk philox_u64 under ONE key: out[i] = philox_u64(key, counter_hi[i],
-/// counter_lo[i]), bit for bit. Counter-based generation makes every draw
+/// counter_lo[i]), bit for bit. `out` may alias either counter array
+/// exactly (every lane reads its counters before writing its output). Counter-based generation makes every draw
 /// a pure function of its inputs, so the lanes are independent and this
 /// is free to compute them in any order or width — the implementation
 /// dispatches at runtime to an AVX-512 or AVX2 kernel when the CPU has

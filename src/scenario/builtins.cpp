@@ -498,15 +498,25 @@ class SelectIdBelow final : public local::RandomizedBallAlgorithm {
   std::uint64_t count_;
 };
 
-/// K-phase Luby MIS simulated inside the radius-K ball. Phase-j priorities
-/// are pure functions of (coins, identity, j), so every ball containing a
-/// node replays the same trajectory for it — the consistency the implicit
-/// streaming path relies on when it recomputes members' outputs from their
-/// own balls. The center's state after K phases depends on exactly its
-/// radius-K ball (a node at distance d is simulated faithfully through
-/// phase K-d, and only its early phases reach the center), so simulating
-/// the whole ball and reading the center is a faithful K-round LOCAL
-/// algorithm. Output: 1 = joined the MIS; undecided centers output 0.
+/// K-phase Luby MIS simulated inside the radius-K ball: every member of
+/// the ball runs K phases of (draw priority j, local minima join, their
+/// neighbours drop out) on the ball's own edges, and the center's final
+/// state is the output (1 = joined the MIS; undecided centers output 0).
+/// Phase-j priorities are pure functions of (coins, identity, j) — the
+/// algorithm's K-draw coin prefix, read through View::coin.
+///
+/// This is NOT a faithful replay of global K-phase Luby for K >= 2. The
+/// ball cuts its boundary members off from their outside neighbours, so
+/// a boundary member can win a phase it would lose globally; its join
+/// marks its neighbours out, and so an error at the ball's edge moves two
+/// hops inward per phase and can reach the center within K phases. (On a
+/// 64-ring, 300 priority draws per K, the center's bit differed from
+/// global K-phase Luby in 610 of 19200 cases at K = 2, 61 at K = 3, 2 at
+/// K = 4 and none at K = 1.) What holds — and what the implicit
+/// streaming path (which recomputes members' outputs from their own
+/// balls) and the per-run coin table rely on — is that the output is a
+/// pure function of the radius-K ball, its identities and the coins, so
+/// the same node yields the same output under every execution path.
 class LubyBallMis final : public local::RandomizedBallAlgorithm {
  public:
   explicit LubyBallMis(int phases) : phases_(phases) {}
@@ -516,8 +526,12 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
   }
   int radius() const override { return phases_; }
 
+  std::uint64_t coins_per_node() const override {
+    return static_cast<std::uint64_t>(phases_);
+  }
+
   local::Label compute(const local::View& view,
-                       const rand::CoinProvider& coins) const override {
+                       const rand::CoinProvider& /*coins*/) const override {
     const graph::BallView& ball = *view.ball;
     const graph::NodeId size = ball.size();
     // Per-thread simulation state: compute() is shared across workers, and
@@ -531,8 +545,7 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
     for (int phase = 0; phase < phases_; ++phase) {
       for (graph::NodeId v = 0; v < size; ++v) {
         if (state[v] == 0) {
-          priority[v] =
-              coins.draw(view.identity(v), static_cast<std::uint64_t>(phase));
+          priority[v] = view.coin(v, static_cast<std::uint64_t>(phase));
         }
       }
       for (graph::NodeId v = 0; v < size; ++v) {

@@ -36,7 +36,9 @@ std::string string_array_json(const std::vector<std::string>& items) {
   std::string out = "[";
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + util::json_escape(items[i]) + "\"";
+    out += '"';
+    out += util::json_escape(items[i]);
+    out += '"';
   }
   out += "]";
   return out;

@@ -9,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.h"
+#include "graph/generators.h"
+#include "ident/identity.h"
 #include "scenario/presets.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -216,6 +219,48 @@ TEST(FaultModels, SuccessIsMonotoneNonIncreasingInLossProbability) {
   }
   // The sweep actually degraded: at p-loss=0.5 some accepting balls died.
   EXPECT_LT(previous, 300u);
+}
+
+TEST(FaultSubgraph, RealizesTheEngineCrashesAndSymmetricEdgeBits) {
+  // The ball path's realized subgraph and the engine read the same
+  // draws: a node is failed iff the engine would ever crash it, and an
+  // edge's two ports share one round-0 draw.
+  const graph::Graph g = graph::random_regular(200, 3, 9);
+  const ident::IdAssignment ids = ident::random_permutation(200, 2);
+  const rand::PhiloxCoins coins(17, rand::Stream::kFault);
+  const auto crash = fault::make_crash(0.3, 4);
+  fault::FaultSubgraph faults;
+  faults.realize(*crash, coins, g, ids.raw());
+  std::vector<std::uint64_t> rounds;
+  crash->crash_rounds(coins, ids.raw(), rounds);
+  std::size_t failed = 0;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(faults.node_blocked(v), rounds[v] != fault::kNeverCrashes);
+    if (rounds[v] != fault::kNeverCrashes) {
+      EXPECT_GE(rounds[v], 1u);
+      EXPECT_LE(rounds[v], 4u);
+      ++failed;
+    }
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_LT(failed, g.node_count());
+
+  for (const auto& model : {fault::make_drop(0.4), fault::make_churn(0.4)}) {
+    faults.realize(*model, coins, g, ids.raw());
+    std::size_t blocked = 0;
+    for (const graph::Edge& e : g.edges()) {
+      EXPECT_EQ(faults.edge_blocked(e.u, e.v), faults.edge_blocked(e.v, e.u));
+      EXPECT_FALSE(faults.node_blocked(e.u));
+      if (faults.edge_blocked(e.u, e.v)) ++blocked;
+    }
+    EXPECT_GT(blocked, 0u) << model->name();
+    EXPECT_LT(blocked, g.edge_count()) << model->name();
+    // Without link draws every edge reads intact.
+    faults.realize(*model, coins, g, ids.raw(), /*links=*/false);
+    for (const graph::Edge& e : g.edges()) {
+      EXPECT_FALSE(faults.edge_blocked(e.u, e.v));
+    }
+  }
 }
 
 }  // namespace

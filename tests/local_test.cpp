@@ -6,12 +6,14 @@
 #include <map>
 #include <set>
 
+#include "algo/order_invariant.h"
 #include "graph/ball.h"
 #include "graph/generators.h"
 #include "local/ball_collector.h"
 #include "local/engine.h"
 #include "local/instance.h"
 #include "local/runner.h"
+#include "scenario/registry.h"
 
 namespace lnc::local {
 namespace {
@@ -263,6 +265,124 @@ TEST(Runner, GrantNExposesNodeCount) {
   EXPECT_EQ(with_n[0], 6u);
   const Labeling without = run_ball_algorithm(inst, NAlgorithm{});
   EXPECT_EQ(without[0], 0u);
+}
+
+// --- Coin table vs per-read draws ---------------------------------------
+//
+// The ball runner pre-draws an algorithm's declared coin prefix into a
+// per-run table (View::coin); every path that cannot use the table draws
+// per read instead. Both must give the same labels.
+
+std::unique_ptr<scenario::Construction> luby_ball(int phases) {
+  const scenario::ConstructionEntry* entry =
+      scenario::constructions().find("luby-ball");
+  EXPECT_NE(entry, nullptr);
+  return entry->build({{"phases", static_cast<double>(phases)}});
+}
+
+/// Forwards to `inner` but declares a different coin prefix, so the run
+/// fills a table of that width (narrower than the draws read: j >= k
+/// falls back).
+class DeclaredPrefix final : public RandomizedBallAlgorithm {
+ public:
+  DeclaredPrefix(const RandomizedBallAlgorithm& inner, std::uint64_t k)
+      : inner_(&inner), k_(k) {}
+  std::string name() const override { return inner_->name(); }
+  int radius() const override { return inner_->radius(); }
+  std::uint64_t coins_per_node() const override { return k_; }
+  Label compute(const View& view,
+                const rand::CoinProvider& coins) const override {
+    return inner_->compute(view, coins);
+  }
+
+ private:
+  const RandomizedBallAlgorithm* inner_;
+  std::uint64_t k_;
+};
+
+/// A randomized algorithm seen as a deterministic one that reads the
+/// run's coins from its view — what lets it ride inside the
+/// order-invariant wrapper, which substitutes rank identities.
+class CoinsFromView final : public BallAlgorithm {
+ public:
+  explicit CoinsFromView(const RandomizedBallAlgorithm& inner)
+      : inner_(&inner) {}
+  std::string name() const override { return inner_->name(); }
+  int radius() const override { return inner_->radius(); }
+  Label compute(const View& view) const override {
+    return inner_->compute(view, *view.coins);
+  }
+
+ private:
+  const RandomizedBallAlgorithm* inner_;
+};
+
+/// The order-invariant wrapper's deterministic face, run randomized again
+/// with a declared prefix: the runner fills a table, and every view the
+/// inner algorithm sees carries an id_override.
+class RankedRun final : public RandomizedBallAlgorithm {
+ public:
+  RankedRun(const BallAlgorithm& inner, std::uint64_t k)
+      : inner_(&inner), k_(k) {}
+  std::string name() const override { return inner_->name(); }
+  int radius() const override { return inner_->radius(); }
+  std::uint64_t coins_per_node() const override { return k_; }
+  Label compute(const View& view,
+                const rand::CoinProvider& /*coins*/) const override {
+    return inner_->compute(view);
+  }
+
+ private:
+  const BallAlgorithm* inner_;
+  std::uint64_t k_;
+};
+
+TEST(CoinTable, LubyBallReadsTheSameCoinsAsTheFallbackPaths) {
+  const graph::NodeId n = 96;
+  const Instance instances[] = {
+      make_instance(graph::cycle(n), ident::random_permutation(n, 3)),
+      make_instance(graph::random_regular(n, 3, 5),
+                    ident::random_permutation(n, 4)),
+  };
+  for (const Instance& inst : instances) {
+    for (const int phases : {2, 3}) {
+      const std::string label = "phases=" + std::to_string(phases) +
+                                " max_degree=" +
+                                std::to_string(inst.g.max_degree());
+      const auto construction = luby_ball(phases);
+      const RandomizedBallAlgorithm& luby = *construction->ball_algorithm();
+      ASSERT_EQ(luby.coins_per_node(), static_cast<std::uint64_t>(phases));
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const rand::PhiloxCoins coins(seed, rand::Stream::kConstruction);
+        const Labeling table = run_ball_algorithm(inst, luby, coins);
+
+        // A non-Philox provider: no table, every read draws (and counts).
+        const rand::CountingCoins counting(coins);
+        EXPECT_EQ(run_ball_algorithm(inst, luby, counting), table) << label;
+        EXPECT_GT(counting.total_draws(), 0u) << label;
+
+        // A table narrower than the phases: draws j >= 1 fall back.
+        const DeclaredPrefix narrow(luby, 1);
+        EXPECT_EQ(run_ball_algorithm(inst, narrow, coins), table) << label;
+
+        // id_override views key their coins by the substituted rank
+        // identities, so they must bypass the table (which is keyed by
+        // the instance's identities) even though the run filled one.
+        const CoinsFromView bound(luby);
+        const algo::OrderInvariantWrapper ranked(bound);
+        const RankedRun ranked_run(ranked,
+                                   static_cast<std::uint64_t>(phases));
+        const rand::CountingCoins ranked_counting(coins);
+        const Labeling ranked_table =
+            run_ball_algorithm(inst, ranked_run, coins);
+        EXPECT_EQ(run_ball_algorithm(inst, ranked_run, ranked_counting),
+                  ranked_table)
+            << label;
+        // The rank identities really do change the coins read.
+        EXPECT_NE(ranked_table, table) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

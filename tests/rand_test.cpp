@@ -53,7 +53,7 @@ TEST(Philox, U64IsDeterministic) {
 // any divergence would silently break backend bit-identity. Odd counts
 // exercise both the wide main loop and the serial tail.
 TEST(Philox, BatchMatchesSerialBitForBit) {
-  for (const std::size_t count : {0uz, 1uz, 3uz, 16uz, 37uz, 1000uz}) {
+  for (const std::size_t count : {0, 1, 3, 16, 37, 1000}) {
     std::vector<std::uint64_t> hi(count), lo(count), out(count);
     for (std::size_t i = 0; i < count; ++i) {
       hi[i] = 0x9E3779B97F4A7C15ull * i + 7;
@@ -116,6 +116,47 @@ TEST(Coins, CountingDecoratorCounts) {
   for (int i = 0; i < 5; ++i) rng.next_u64();
   EXPECT_EQ(counting.total_draws(), 5u);
   EXPECT_EQ(rng.draws_used(), 5u);
+}
+
+// draw_column is a bulk draw(): the Philox override (the batched kernel,
+// chunked) and the base-class loop (here through CountingCoins) must both
+// equal per-identity draws, also in place and across the chunk boundary.
+TEST(Coins, DrawColumnMatchesDrawBitForBit) {
+  const PhiloxCoins coins(31, Stream::kFault);
+  const CountingCoins counting(coins);
+  for (const std::size_t count : {0, 1, 17, 256, 300, 1000}) {
+    std::vector<std::uint64_t> ids(count), out(count), counted(count);
+    for (std::size_t i = 0; i < count; ++i) ids[i] = mix_keys(i, 5);
+    for (const std::uint64_t index : {0ull, 1ull, 977ull}) {
+      coins.draw_column(ids, index, out);
+      counting.draw_column(ids, index, counted);
+      std::vector<std::uint64_t> in_place = ids;
+      coins.draw_column(in_place, index, in_place);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(out[i], coins.draw(ids[i], index)) << count << " " << i;
+        ASSERT_EQ(counted[i], out[i]) << count << " " << i;
+        ASSERT_EQ(in_place[i], out[i]) << count << " " << i;
+      }
+    }
+  }
+  EXPECT_EQ(counting.total_draws(), 3u * (1 + 17 + 256 + 300 + 1000));
+}
+
+TEST(Coins, CoinTableHoldsEachIdentitysLeadingDraws) {
+  const PhiloxCoins coins(8, Stream::kConstruction);
+  const std::vector<std::uint64_t> ids = {9, 2, 77, 1ull << 40, 5};
+  CoinTable table;
+  table.fill(coins, ids, 3);
+  ASSERT_EQ(table.width(), 3u);
+  for (std::size_t v = 0; v < ids.size(); ++v) {
+    for (std::uint64_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(table.draw(v, j), coins.draw(ids[v], j)) << v << " " << j;
+    }
+  }
+  // Refilling narrower reuses the storage and drops the old width.
+  table.fill(coins, std::span(ids).first(2), 1);
+  EXPECT_EQ(table.width(), 1u);
+  EXPECT_EQ(table.draw(1, 0), coins.draw(ids[1], 0));
 }
 
 TEST(NodeRng, DoubleInUnitInterval) {
