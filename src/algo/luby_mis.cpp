@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "local/vector_engine.h"
-#include "rand/philox.h"
 #include "util/assert.h"
 
 namespace lnc::algo {
@@ -96,7 +95,9 @@ class LubyProgram final : public local::NodeProgram {
 /// sender's round-start state: draws are refreshed for every undecided
 /// node before the odd receive pass (the send barrier), and the even pass
 /// compares against a per-trial status snapshot because kIn/kOut flips
-/// happen in place during that same pass.
+/// happen in place during that same pass. A port the batch reports
+/// silent (VectorBatch::hears) is skipped, as the scalar program skips an
+/// empty message.
 ///
 /// The per-node state stays trial-major — [trial * n + node] — matching
 /// the rest of the vector backend: each trial's n-node window fits low
@@ -132,37 +133,24 @@ class LubyVectorProgram final : public local::VectorProgram {
     const std::uint32_t n = batch.nodes();
     const bool odd = round % 2 == 1;
     batch.for_each_live_trial([&](std::uint32_t t) {
-      // Every node broadcasts: [status, draw, id] odd, [status, joining]
-      // even — halted relays included.
-      batch.add_traffic(t, n, odd ? 3 * std::uint64_t{n} : 2 * std::uint64_t{n});
+      // Every live node broadcasts: [status, draw, id] odd, [status,
+      // joining] even — halted relays included, crashed nodes not.
+      const std::uint64_t senders = n - batch.dead_count(t);
+      batch.add_traffic(t, senders, (odd ? 3 : 2) * senders);
       const std::size_t base = batch.at(t, 0);
       std::uint8_t* status = status_.data() + base;
       std::uint64_t* draws = draws_.data() + base;
       std::uint8_t* joining = joining_.data() + base;
       if (odd) {
-        // Send pass: undecided nodes refresh their competition draw. The
-        // draws are gathered and filled through the bulk philox kernel
-        // (rand/philox.h) — bit-identical to per-node next_u64() calls,
-        // several times the serial throughput.
+        // Send pass: undecided nodes refresh their competition draw, all
+        // in one bulk philox call.
         pending_.clear();
-        pending_hi_.clear();
-        pending_lo_.clear();
         batch.for_each_active_node(t, [&](std::uint32_t v) {
-          if (status[v] == kUndecided) {
-            local::VecRng& rng = batch.rng(t, v);
-            pending_.push_back(v);
-            pending_hi_.push_back(rng.identity);
-            pending_lo_.push_back(rng.counter++);
-          }
+          if (status[v] == kUndecided) pending_.push_back(v);
         });
-        pending_out_.resize(pending_.size());
-        if (!pending_.empty()) {
-          rand::philox_u64_batch(batch.rng(t, pending_[0]).key,
-                                 pending_hi_.data(), pending_lo_.data(),
-                                 pending_out_.data(), pending_.size());
-          for (std::size_t p = 0; p < pending_.size(); ++p) {
-            draws[pending_[p]] = pending_out_[p];
-          }
+        batch.draw_next(t, pending_, pending_out_);
+        for (std::size_t p = 0; p < pending_.size(); ++p) {
+          draws[pending_[p]] = pending_out_[p];
         }
         batch.for_each_active_node(t, [&](std::uint32_t v) {
           if (status[v] != kUndecided) {
@@ -170,8 +158,10 @@ class LubyVectorProgram final : public local::VectorProgram {
             return;
           }
           std::uint8_t joins = 1;
-          for (const auto u : g.neighbors(v)) {
-            if (status[u] != kUndecided) continue;
+          const auto nbrs = g.neighbors(v);
+          for (std::size_t p = 0; p < nbrs.size(); ++p) {
+            const auto u = nbrs[p];
+            if (status[u] != kUndecided || !batch.hears(t, v, p)) continue;
             if (draws[u] > draws[v] ||
                 (draws[u] == draws[v] && ids[u] > ids[v])) {
               joins = 0;
@@ -192,9 +182,12 @@ class LubyVectorProgram final : public local::VectorProgram {
           status[v] = static_cast<std::uint8_t>(kIn);
           return;  // broadcast kIn next round, then halt
         }
-        for (const auto u : g.neighbors(v)) {
-          if ((prev_status_[u] == kUndecided && joining[u] != 0) ||
-              prev_status_[u] == kIn) {
+        const auto nbrs = g.neighbors(v);
+        for (std::size_t p = 0; p < nbrs.size(); ++p) {
+          const auto u = nbrs[p];
+          if (((prev_status_[u] == kUndecided && joining[u] != 0) ||
+               prev_status_[u] == kIn) &&
+              batch.hears(t, v, p)) {
             status[v] = static_cast<std::uint8_t>(kOut);
             return;  // a neighbor joined this phase or an earlier one
           }
@@ -221,10 +214,8 @@ class LubyVectorProgram final : public local::VectorProgram {
   std::vector<std::uint64_t> draws_;    // [trial * n + node]
   std::vector<std::uint8_t> joining_;   // [trial * n + node]
   std::vector<std::uint8_t> prev_status_;  // round-start snapshot, one trial
-  std::vector<std::uint32_t> pending_;     // draw-pass gather: nodes...
-  std::vector<std::uint64_t> pending_hi_;  // ...their stream identities...
-  std::vector<std::uint64_t> pending_lo_;  // ...and next draw indices
-  std::vector<std::uint64_t> pending_out_;
+  std::vector<std::uint32_t> pending_;      // draw-pass gather
+  std::vector<std::uint64_t> pending_out_;  // its draws
 };
 
 }  // namespace

@@ -144,15 +144,24 @@ class MatchingProgram final : public local::NodeProgram {
   std::vector<std::uint64_t> neighbor_id_;
 };
 
+/// Bernoulli(1/2) of one raw draw, exactly as NodeRng::bernoulli(0.5).
+bool coin_half(std::uint64_t draw) noexcept {
+  return static_cast<double>(draw >> 11) * 0x1.0p-53 < 0.5;
+}
+
 /// SoA lockstep counterpart of MatchingProgram. Node state is flat
 /// [trial * n + node]; the per-port availability/identity tables are flat
-/// [trial * ports + port_base[node] + port] against shared CSR port
-/// offsets. Draw sequences replicate the scalar send exactly: role coin,
-/// then (proposers with known ids and a non-empty candidate list) the
-/// target pick, then the competition draw. Halted unmatched nodes' scalar
-/// draws are provably unread — every neighbor is matched and a matched
-/// node's receive halts before scanning — so the vector backend skips
-/// them without observable difference.
+/// [trial * ports + port] against the shared CSR port offsets. Draw
+/// sequences replicate the scalar send exactly: role coin, then
+/// (proposers with known ids and a non-empty candidate list) the target
+/// pick, then the competition draw — gathered as three bulk philox passes
+/// per round, each advancing every stream by one draw (a rare next_below
+/// rejection redraws serially before the next pass). Halted unmatched
+/// nodes' scalar draws are provably unread — every neighbor is matched
+/// (and a matched node's receive halts before scanning) or crashed — so
+/// the vector backend skips them without observable difference. A port
+/// the batch reports silent (VectorBatch::hears) is skipped, as the
+/// scalar program skips an empty message.
 class MatchingVectorProgram final : public local::VectorProgram {
  public:
   std::string name() const override { return "rand-matching"; }
@@ -162,12 +171,7 @@ class MatchingVectorProgram final : public local::VectorProgram {
     const std::uint32_t n = batch.nodes();
     const std::uint32_t trials = batch.trials();
     const std::size_t total = static_cast<std::size_t>(trials) * n;
-    port_base_.resize(n + 1);
-    port_base_[0] = 0;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      port_base_[v + 1] = port_base_[v] + g.degree(v);
-    }
-    const std::size_t ports = port_base_[n];
+    const std::size_t ports = static_cast<std::size_t>(trials) * g.port_count();
     matched_.assign(total, 0);
     ids_known_.assign(total, 0);
     role_.assign(total, static_cast<std::uint8_t>(kRoleListener));
@@ -175,8 +179,8 @@ class MatchingVectorProgram final : public local::VectorProgram {
     target_.assign(total, 0);
     accepted_.assign(total, 0);
     draw_.assign(total, 0);
-    avail_.assign(static_cast<std::size_t>(trials) * ports, 1);
-    nid_.assign(static_cast<std::size_t>(trials) * ports, 0);
+    avail_.assign(ports, 1);
+    nid_.assign(ports, 0);
     matched_count_.assign(trials, 0);
     prev_matched_.resize(n);
     for (std::uint32_t t = 0; t < trials; ++t) {
@@ -190,7 +194,6 @@ class MatchingVectorProgram final : public local::VectorProgram {
     const auto& g = batch.instance().g;
     const auto& ids = batch.instance().ids;
     const std::uint32_t n = batch.nodes();
-    const std::size_t ports = port_base_[n];
     const bool odd = round % 2 == 1;
     batch.for_each_live_trial([&](std::uint32_t t) {
       const std::size_t base = batch.at(t, 0);
@@ -201,32 +204,13 @@ class MatchingVectorProgram final : public local::VectorProgram {
       std::uint64_t* target = target_.data() + base;
       std::uint64_t* accepted = accepted_.data() + base;
       std::uint64_t* draw = draw_.data() + base;
-      std::uint8_t* avail = avail_.data() + static_cast<std::size_t>(t) * ports;
-      std::uint64_t* nid = nid_.data() + static_cast<std::size_t>(t) * ports;
-      // Everyone sends: matched nodes 5 words always, unmatched nodes 5
-      // in propose rounds and 2 in accept rounds.
-      const std::uint64_t mc = matched_count_[t];
-      batch.add_traffic(t, n, odd ? 5 * std::uint64_t{n} : 5 * mc + 2 * (n - mc));
+      const std::size_t port_base =
+          static_cast<std::size_t>(t) * g.port_count();
+      std::uint8_t* avail = avail_.data() + port_base;
+      std::uint64_t* nid = nid_.data() + port_base;
+      charge_traffic(batch, t, odd, matched);
       if (odd) {
-        // Send pass: unmatched nodes flip the role coin, proposers pick a
-        // target, everyone refreshes the competition draw.
-        batch.for_each_active_node(t, [&](std::uint32_t v) {
-          if (matched[v] != 0) return;
-          auto& rng = batch.rng(t, v);
-          role[v] = rng.bernoulli(0.5) ? static_cast<std::uint8_t>(kRoleProposer)
-                                       : static_cast<std::uint8_t>(kRoleListener);
-          target[v] = 0;
-          if (role[v] == kRoleProposer && known[v] != 0) {
-            candidates_.clear();
-            for (std::size_t pp = port_base_[v]; pp < port_base_[v + 1]; ++pp) {
-              if (avail[pp] != 0) candidates_.push_back(nid[pp]);
-            }
-            if (!candidates_.empty()) {
-              target[v] = candidates_[rng.next_below(candidates_.size())];
-            }
-          }
-          draw[v] = rng.next_u64();
-        });
+        send_pass(batch, t, matched, known, role, target, draw, avail, nid);
         batch.for_each_active_node(t, [&](std::uint32_t v) {
           if (matched[v] != 0) {
             batch.set_halted(t, v);  // the match was broadcast last round
@@ -236,8 +220,11 @@ class MatchingVectorProgram final : public local::VectorProgram {
           std::uint64_t best_draw = 0;
           const auto nbrs = g.neighbors(v);
           for (std::size_t p = 0; p < nbrs.size(); ++p) {
+            // A silent port (crashed/lossy neighbor) carries no
+            // information; the last known availability stands.
+            if (!batch.hears(t, v, p)) continue;
             const auto u = nbrs[p];
-            const std::size_t pp = port_base_[v] + p;
+            const std::size_t pp = g.port_offset(v) + p;
             avail[pp] = matched[u] == 0 ? 1 : 0;
             if (matched[u] != 0) continue;
             nid[pp] = ids[u];
@@ -267,7 +254,8 @@ class MatchingVectorProgram final : public local::VectorProgram {
           const auto nbrs = g.neighbors(v);
           for (std::size_t p = 0; p < nbrs.size(); ++p) {
             const auto u = nbrs[p];
-            if (prev_matched_[u] == 0 && accepted[u] == ids[v]) {
+            if (prev_matched_[u] == 0 && accepted[u] == ids[v] &&
+                batch.hears(t, v, p)) {
               // Only our proposal target could have accepted us.
               matched[v] = 1;
               mate[v] = target[v];
@@ -282,7 +270,8 @@ class MatchingVectorProgram final : public local::VectorProgram {
           return;
         }
         // Unmatched: halt once no neighbor is available (maximality).
-        for (std::size_t pp = port_base_[v]; pp < port_base_[v + 1]; ++pp) {
+        const std::size_t first = g.port_offset(v);
+        for (std::size_t pp = first; pp < first + g.degree(v); ++pp) {
           if (avail[pp] != 0) return;
         }
         batch.set_halted(t, v);
@@ -305,14 +294,91 @@ class MatchingVectorProgram final : public local::VectorProgram {
     return matched_.capacity() + ids_known_.capacity() + role_.capacity() +
            avail_.capacity() + prev_matched_.capacity() +
            (mate_.capacity() + target_.capacity() + accepted_.capacity() +
-            draw_.capacity() + nid_.capacity() + candidates_.capacity()) *
+            draw_.capacity() + nid_.capacity() + pending_out_.capacity()) *
                sizeof(std::uint64_t) +
-           (port_base_.capacity() + matched_count_.capacity()) *
+           (matched_count_.capacity() + pending_.capacity() +
+            pickers_.capacity() + picker_candidates_.capacity()) *
                sizeof(std::uint32_t);
   }
 
  private:
-  std::vector<std::uint32_t> port_base_;  // shared CSR port offsets, n + 1
+  /// Every live node sends: matched nodes 5 words always, unmatched nodes
+  /// 5 in propose rounds and 2 in accept rounds; crashed nodes nothing.
+  void charge_traffic(local::VectorBatch& batch, std::uint32_t t, bool odd,
+                      const std::uint8_t* matched) const {
+    const std::uint32_t n = batch.nodes();
+    const std::uint64_t senders = n - batch.dead_count(t);
+    if (odd) {
+      batch.add_traffic(t, senders, 5 * senders);
+      return;
+    }
+    std::uint64_t live_matched = matched_count_[t];
+    if (batch.dead_count(t) != 0) {
+      live_matched = 0;
+      for (std::uint32_t v = 0; v < n; ++v) {
+        if (matched[v] != 0 && !batch.dead(t, v)) ++live_matched;
+      }
+    }
+    batch.add_traffic(t, senders,
+                      5 * live_matched + 2 * (senders - live_matched));
+  }
+
+  /// Odd-round send pass: unmatched nodes flip the role coin, proposers
+  /// pick a target, everyone refreshes the competition draw.
+  void send_pass(local::VectorBatch& batch, std::uint32_t t,
+                 const std::uint8_t* matched, const std::uint8_t* known,
+                 std::uint8_t* role, std::uint64_t* target,
+                 std::uint64_t* draw, const std::uint8_t* avail,
+                 const std::uint64_t* nid) {
+    const auto& g = batch.instance().g;
+    pending_.clear();
+    batch.for_each_active_node(t, [&](std::uint32_t v) {
+      if (matched[v] == 0) pending_.push_back(v);
+    });
+    // Role coins.
+    batch.draw_next(t, pending_, pending_out_);
+    pickers_.clear();
+    picker_candidates_.clear();
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      const std::uint32_t v = pending_[i];
+      role[v] = coin_half(pending_out_[i])
+                    ? static_cast<std::uint8_t>(kRoleProposer)
+                    : static_cast<std::uint8_t>(kRoleListener);
+      target[v] = 0;
+      if (role[v] != kRoleProposer || known[v] == 0) continue;
+      std::uint32_t candidates = 0;
+      const std::size_t first = g.port_offset(v);
+      for (std::size_t pp = first; pp < first + g.degree(v); ++pp) {
+        candidates += avail[pp];
+      }
+      if (candidates == 0) continue;
+      pickers_.push_back(v);
+      picker_candidates_.push_back(candidates);
+    }
+    // Target picks: next_below(candidates) over the available ports.
+    batch.draw_next(t, pickers_, pending_out_);
+    for (std::size_t i = 0; i < pickers_.size(); ++i) {
+      const std::uint32_t v = pickers_[i];
+      const std::uint64_t bound = picker_candidates_[i];
+      const std::uint64_t threshold = (0 - bound) % bound;
+      std::uint64_t r = pending_out_[i];
+      while (r < threshold) r = batch.rng(t, v).next_u64();
+      std::uint64_t pick = r % bound;
+      for (std::size_t pp = g.port_offset(v);; ++pp) {
+        if (avail[pp] == 0) continue;
+        if (pick-- == 0) {
+          target[v] = nid[pp];
+          break;
+        }
+      }
+    }
+    // Competition draws.
+    batch.draw_next(t, pending_, pending_out_);
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      draw[pending_[i]] = pending_out_[i];
+    }
+  }
+
   std::vector<std::uint8_t> matched_;     // [trial * n + node]
   std::vector<std::uint8_t> ids_known_;   // [trial * n + node]
   std::vector<std::uint8_t> role_;        // [trial * n + node]
@@ -324,7 +390,10 @@ class MatchingVectorProgram final : public local::VectorProgram {
   std::vector<std::uint64_t> nid_;        // [trial * ports + port]
   std::vector<std::uint32_t> matched_count_;  // per trial
   std::vector<std::uint8_t> prev_matched_;    // round-start snapshot
-  std::vector<std::uint64_t> candidates_;     // pick_target scratch
+  std::vector<std::uint32_t> pending_;    // send pass: unmatched nodes
+  std::vector<std::uint32_t> pickers_;    // ...proposers picking a target
+  std::vector<std::uint32_t> picker_candidates_;  // ...their choice counts
+  std::vector<std::uint64_t> pending_out_;  // a draw pass's output
 };
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include "algo/weak_color_mc.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "local/vector_engine.h"
-#include "rand/philox.h"
 #include "util/assert.h"
 
 namespace lnc::algo {
@@ -69,25 +69,15 @@ class WeakColorVectorProgram final : public local::VectorProgram {
     const std::uint32_t n = batch.nodes();
     bits_.resize(static_cast<std::size_t>(batch.trials()) * n);
     prev_.resize(n);
-    draws_.resize(n);
     // Initial colors for the whole batch through the bulk philox kernel:
     // next_below(2) accepts its first draw unconditionally (the rejection
     // threshold for bound 2 is 0), so bit v IS draw 0 of stream (t, v)
     // taken mod 2 — identical to the scalar program's init.
+    pending_.resize(n);
+    std::iota(pending_.begin(), pending_.end(), 0u);
     for (std::uint32_t t = 0; t < batch.trials(); ++t) {
       std::uint8_t* row = bits_.data() + batch.at(t, 0);
-      if (n > 0) {
-        local::VecRng& first = batch.rng(t, 0);
-        pending_hi_.resize(n);
-        pending_lo_.resize(n);
-        for (std::uint32_t v = 0; v < n; ++v) {
-          local::VecRng& rng = batch.rng(t, v);
-          pending_hi_[v] = rng.identity;
-          pending_lo_[v] = rng.counter++;
-        }
-        rand::philox_u64_batch(first.key, pending_hi_.data(),
-                               pending_lo_.data(), draws_.data(), n);
-      }
+      batch.draw_next(t, pending_, draws_);
       for (std::uint32_t v = 0; v < n; ++v) {
         row[v] = static_cast<std::uint8_t>(draws_[v] & 1);
         if (g.degree(v) == 0) batch.set_halted(t, v);  // unconstrained
@@ -99,8 +89,10 @@ class WeakColorVectorProgram final : public local::VectorProgram {
     const auto& g = batch.instance().g;
     const std::uint32_t n = batch.nodes();
     batch.for_each_live_trial([&](std::uint32_t t) {
-      // Every node (halted relays included) broadcasts its one-word bit.
-      batch.add_traffic(t, n, n);
+      // Every live node (halted relays included) broadcasts its one-word
+      // bit; crashed nodes are silent.
+      const std::uint64_t senders = n - batch.dead_count(t);
+      batch.add_traffic(t, senders, senders);
       std::uint8_t* row = bits_.data() + batch.at(t, 0);
       if (round >= total_rounds_) {
         // Past the fixup schedule nothing resamples; everyone halts.
@@ -109,27 +101,20 @@ class WeakColorVectorProgram final : public local::VectorProgram {
         return;
       }
       std::copy(row, row + n, prev_.begin());
-      // Gather the all-agree nodes, then resample them in one bulk philox
-      // call (bit-identical to per-node next_below(2); see init).
+      // Gather the all-agree nodes (a silent port cannot disagree), then
+      // resample them in one bulk philox call (bit-identical to per-node
+      // next_below(2); see init).
       pending_.clear();
-      pending_hi_.clear();
-      pending_lo_.clear();
       batch.for_each_active_node(t, [&](std::uint32_t v) {
-        for (const auto u : g.neighbors(v)) {
-          if (prev_[u] != prev_[v]) return;
+        const auto nbrs = g.neighbors(v);
+        for (std::size_t p = 0; p < nbrs.size(); ++p) {
+          if (prev_[nbrs[p]] != prev_[v] && batch.hears(t, v, p)) return;
         }
-        local::VecRng& rng = batch.rng(t, v);
         pending_.push_back(v);
-        pending_hi_.push_back(rng.identity);
-        pending_lo_.push_back(rng.counter++);
       });
-      if (!pending_.empty()) {
-        rand::philox_u64_batch(batch.rng(t, pending_[0]).key,
-                               pending_hi_.data(), pending_lo_.data(),
-                               draws_.data(), pending_.size());
-        for (std::size_t p = 0; p < pending_.size(); ++p) {
-          row[pending_[p]] = static_cast<std::uint8_t>(draws_[p] & 1);
-        }
+      batch.draw_next(t, pending_, draws_);
+      for (std::size_t p = 0; p < pending_.size(); ++p) {
+        row[pending_[p]] = static_cast<std::uint8_t>(draws_[p] & 1);
       }
     });
   }
@@ -150,10 +135,8 @@ class WeakColorVectorProgram final : public local::VectorProgram {
   int total_rounds_;
   std::vector<std::uint8_t> bits_;  // [trial * n + node]
   std::vector<std::uint8_t> prev_;  // round-start snapshot of one trial
-  std::vector<std::uint64_t> draws_;      // bulk philox output buffer
-  std::vector<std::uint32_t> pending_;    // resample gather: nodes...
-  std::vector<std::uint64_t> pending_hi_;  // ...stream identities...
-  std::vector<std::uint64_t> pending_lo_;  // ...and draw indices
+  std::vector<std::uint32_t> pending_;  // draw-pass gather
+  std::vector<std::uint64_t> draws_;    // its draws
 };
 
 }  // namespace

@@ -35,18 +35,22 @@ DecisionOutcome evaluate_impl(const local::Instance& inst,
   std::optional<fault::FaultSubgraph> local_censor;
   const graph::BallFilter* filter = nullptr;
   if (options.fault != nullptr && !options.fault->trivial()) {
-    LNC_EXPECTS(options.fault_coins != nullptr &&
-                "non-trivial fault model requires its coin stream");
     LNC_EXPECTS(!inst.is_implicit() &&
                 "fault censoring requires a materialized instance");
-    fault::FaultSubgraph& censor = options.ball != nullptr
-                                       ? options.ball->faults
-                                       : local_censor.emplace();
-    censor.realize(*options.fault, *options.fault_coins, inst.g,
-                   inst.ids.raw(), /*links=*/radius > 0);
-    filter = &censor;
+    const fault::FaultSubgraph* censor = options.realized_faults;
+    if (censor == nullptr) {
+      LNC_EXPECTS(options.fault_coins != nullptr &&
+                  "non-trivial fault model requires its coin stream");
+      fault::FaultSubgraph& fresh = options.ball != nullptr
+                                        ? options.ball->faults
+                                        : local_censor.emplace();
+      fresh.realize(*options.fault, *options.fault_coins, inst.g,
+                    inst.ids.raw(), /*links=*/radius > 0);
+      censor = &fresh;
+    }
+    filter = censor;
     for (graph::NodeId v = 0; v < n; ++v) {
-      if (censor.node_blocked(v)) counted[v] = 0;
+      if (censor->node_blocked(v)) counted[v] = 0;
     }
   }
 

@@ -18,6 +18,7 @@
 
 namespace lnc::fault {
 class FaultModel;
+class FaultSubgraph;
 }
 
 namespace lnc::decide {
@@ -65,6 +66,12 @@ struct EvaluateOptions {
   /// side already tallied this trial's realized faults exactly once.
   const fault::FaultModel* fault = nullptr;
   const rand::CoinProvider* fault_coins = nullptr;
+
+  /// Internal (set by construct_then_decide_plan, not a user option): the
+  /// subgraph this trial's ball construction already realized from the
+  /// same model, fault coins and instance, links included. evaluate()
+  /// censors with it instead of realizing the same bits a second time.
+  const fault::FaultSubgraph* realized_faults = nullptr;
 };
 
 /// Deterministic decider over the configuration.

@@ -168,7 +168,14 @@ local::ExperimentPlan construct_then_decide_plan(
     EvaluateOptions trial_options = options;
     trial_options.telemetry = &env.arena->telemetry();
     trial_options.ball = &env.arena->ball_workspace();
-    if (fault_requested(options)) trial_options.fault_coins = &f_coins;
+    if (fault_requested(options)) {
+      trial_options.fault_coins = &f_coins;
+      // The kBalls construction realized this trial's subgraph, links
+      // included, into the worker's workspace; the decider reuses it.
+      if (mode == local::ExecMode::kBalls) {
+        trial_options.realized_faults = &env.arena->ball_workspace().faults;
+      }
+    }
     const DecisionOutcome outcome =
         evaluate(inst, output, decider, d_coins, trial_options);
     return outcome.accepted == success_on_accept;

@@ -200,20 +200,26 @@ void BatchRunner::for_each_vector_trial(const ExperimentPlan& plan,
         obs::metrics_enabled() ? &arena.metrics() : nullptr;
     const obs::WorkerMetricsScope metrics_scope(metrics);
     const obs::Span batch_span("batch", obs::span_args("trials", end - begin));
-    // Per-trial construction-coin keys, exactly what the scalar trial
-    // body's env.construction_coins() would produce.
+    // Per-trial construction- and fault-coin keys, exactly what the
+    // scalar trial body's env.construction_coins() / env.fault_coins()
+    // would produce.
     auto& keys = arena.vector_scratch().coin_key_buffer();
+    auto& fault_keys = arena.vector_scratch().fault_key_buffer();
     keys.resize(end - begin);
+    fault_keys.resize(plan.vector.fault != nullptr ? end - begin : 0);
     for (std::uint64_t i = begin; i < end; ++i) {
       TrialEnv env;
       env.index = i;
       env.seed = stats::trial_seed(plan.base_seed, i);
       keys[i - begin] = env.construction_coins().key();
+      if (!fault_keys.empty()) {
+        fault_keys[i - begin] = env.fault_coins().key();
+      }
     }
     const util::Timer batch_timer;
     run_vector_batch(
-        *plan.vector.instance, *plan.vector.factory, keys,
-        arena.vector_scratch(), &arena.telemetry(),
+        *plan.vector.instance, *plan.vector.factory, keys, plan.vector.fault,
+        fault_keys, arena.vector_scratch(), &arena.telemetry(),
         [&](std::uint32_t local, const Labeling& out, int rounds,
             const Telemetry& delta) {
           TrialEnv env;

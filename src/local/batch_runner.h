@@ -189,6 +189,9 @@ struct TrialEnv {
 struct VectorExec {
   const Instance* instance = nullptr;
   const NodeProgramFactory* factory = nullptr;
+  /// The fault model the scalar trials run under (null: fault-free); the
+  /// runner hands each batch its trials' TrialEnv::fault_coins() keys.
+  const fault::FaultModel* fault = nullptr;
 
   /// Finish hooks (exactly the one matching the plan's workload is set):
   /// each receives the trial env, the vector run's output labeling (valid

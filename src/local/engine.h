@@ -238,6 +238,13 @@ class EngineScratch {
   Telemetry telemetry_;
 };
 
+/// Round cap of engine constructions under a non-trivial fault model, on
+/// every backend: faults can stall termination (a node whose progress
+/// messages always drop never halts), so a faulty run that exhausts this
+/// budget is a legitimate outcome, not an engine bug. Deterministic in the
+/// fault coins, so the cap itself never breaks bit-reproducibility.
+inline constexpr int kFaultMaxRounds = 256;
+
 struct EngineOptions {
   int max_rounds = 1 << 20;        ///< safety guard; hitting it is an error
   bool grant_n = false;            ///< expose |V| via NodeEnv::n_nodes

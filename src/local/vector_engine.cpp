@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <numeric>
 
+#include "fault/fault.h"
 #include "obs/metrics.h"
+#include "rand/coins.h"
 #include "util/assert.h"
 #include "util/timer.h"
 
 namespace lnc::local {
 namespace {
 
-/// Same runaway guard as EngineOptions::max_rounds.
+/// Same runaway guard as EngineOptions::max_rounds (fault-free runs).
 constexpr int kMaxRounds = 1 << 20;
 
 }  // namespace
@@ -74,16 +76,163 @@ std::size_t VectorBatch::footprint_bytes() const noexcept {
          rounds_.capacity() * sizeof(int) +
          (messages_.capacity() + words_.capacity()) * sizeof(std::uint64_t) +
          (live_trials_.capacity() + active_nodes_.capacity() +
-          active_counts_.capacity()) *
-             sizeof(std::uint32_t);
+          active_counts_.capacity() + dead_counts_.capacity()) *
+             sizeof(std::uint32_t) +
+         (draw_hi_.capacity() + draw_lo_.capacity() + fault_keys_.capacity() +
+          crash_rounds_.capacity() + link_keys_.capacity() +
+          link_draws_.capacity() + dropped_.capacity() +
+          churned_.capacity()) *
+             sizeof(std::uint64_t) +
+         dead_.capacity() + silent_.capacity() +
+         crashes_.capacity() * sizeof(Crash) +
+         (crash_next_.capacity() + crash_end_.capacity() +
+          port_slot_.capacity()) *
+             sizeof(std::size_t);
 }
 
-void run_vector_batch(
-    const Instance& inst, const NodeProgramFactory& factory,
-    std::span<const std::uint64_t> coin_keys, VectorScratch& scratch,
-    Telemetry* accumulate,
-    const std::function<void(std::uint32_t, const Labeling&, int,
-                             const Telemetry&)>& finish) {
+void VectorBatch::draw_next(std::uint32_t trial,
+                            std::span<const std::uint32_t> nodes,
+                            std::vector<std::uint64_t>& out) {
+  out.resize(nodes.size());
+  if (nodes.empty()) return;
+  draw_hi_.resize(nodes.size());
+  draw_lo_.resize(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    VecRng& stream = rng(trial, nodes[i]);
+    draw_hi_[i] = stream.identity;
+    draw_lo_[i] = stream.counter++;
+  }
+  rand::philox_u64_batch(rng(trial, nodes[0]).key, draw_hi_.data(),
+                         draw_lo_.data(), out.data(), nodes.size());
+}
+
+void VectorBatch::compact_active(std::uint32_t trial) noexcept {
+  std::uint32_t* list = active_nodes_.data() + at(trial, 0);
+  const std::uint32_t count = active_counts_[trial];
+  std::uint32_t kept = 0;
+  for (std::uint32_t k = 0; k < count; ++k) {
+    const std::uint32_t v = list[k];
+    if (halted_[at(trial, v)] == 0) list[kept++] = v;
+  }
+  active_counts_[trial] = kept;
+}
+
+void VectorBatch::reset_faults(const fault::FaultModel* fault,
+                               std::span<const std::uint64_t> fault_keys) {
+  fault_ = fault != nullptr && !fault->trivial() ? fault : nullptr;
+  if (fault_ == nullptr) return;
+  LNC_EXPECTS(fault_keys.size() == trials_ &&
+              "non-trivial fault model requires every trial's fault key");
+  // Resolve the adversary once per batch: every trial's crash schedule,
+  // and the link keys (pure functions of the identities, shared by all
+  // trials) — the same layout run_engine draws its columns over.
+  const graph::Graph& g = inst_->g;
+  churn_ = fault->link().kind == fault::LinkFault::kChurn;
+  ports_ = g.port_count();
+  fault_keys_.assign(fault_keys.begin(), fault_keys.end());
+  dead_.assign(static_cast<std::size_t>(trials_) * n_, 0);
+  dead_counts_.assign(trials_, 0);
+  silent_.assign(trials_ * ports_, 0);
+  dropped_.assign(trials_, 0);
+  churned_.assign(trials_, 0);
+  crashes_.clear();
+  crash_next_.resize(trials_);
+  crash_end_.resize(trials_);
+  for (std::uint32_t t = 0; t < trials_; ++t) {
+    fault->crash_rounds(rand::PhiloxCoins::from_key(fault_keys[t]),
+                        inst_->ids.raw(), crash_rounds_);
+    crash_next_[t] = crashes_.size();
+    for (std::uint32_t v = 0; v < n_; ++v) {
+      if (crash_rounds_[v] != fault::kNeverCrashes) {
+        crashes_.push_back({crash_rounds_[v], v});
+      }
+    }
+    crash_end_[t] = crashes_.size();
+    // Same-round crashes are applied together, so only rounds order them.
+    std::sort(crashes_.begin() + static_cast<std::ptrdiff_t>(crash_next_[t]),
+              crashes_.end(),
+              [](const Crash& a, const Crash& b) { return a.round < b.round; });
+  }
+  if (fault->has_link_faults()) {
+    fault->link_keys(g, inst_->ids.raw(), /*directed=*/!churn_, link_keys_,
+                     port_slot_);
+    link_draws_.resize(link_keys_.size());
+  }
+}
+
+void VectorBatch::silence_ports_facing(std::uint32_t trial,
+                                       std::uint32_t node) noexcept {
+  const graph::Graph& g = inst_->g;
+  char* silent = silent_.data() + static_cast<std::size_t>(trial) * ports_;
+  for (const graph::NodeId u : g.neighbors(node)) {
+    silent[g.port_offset(u) + g.port_of(u, node)] = 1;
+  }
+}
+
+void VectorBatch::realize_faults(std::uint32_t t, int round) {
+  const graph::Graph& g = inst_->g;
+  const auto r = static_cast<std::uint64_t>(round);
+  char* dead = dead_.data() + at(t, 0);
+  char* silent = silent_.data() + static_cast<std::size_t>(t) * ports_;
+
+  // Crash-stop resolution: a node whose crash round has arrived falls
+  // silent before sending, halted relays included. Its neighbours' ports
+  // facing it stay silent from now on.
+  bool crashed = false;
+  for (; crash_next_[t] < crash_end_[t] && crashes_[crash_next_[t]].round <= r;
+       ++crash_next_[t]) {
+    const std::uint32_t v = crashes_[crash_next_[t]].node;
+    dead[v] = 1;
+    ++dead_counts_[t];
+    set_halted(t, v);
+    silence_ports_facing(t, v);
+    crashed = true;
+  }
+  if (crashed) compact_active(t);
+  if (!fault_->has_link_faults()) return;
+
+  // Link-fault pass: this round's column in one bulk draw, then the
+  // silence bits and run_engine's tallies — a churned edge counts once
+  // (churn draws one key per edge); a drop counts only when there was a
+  // delivery to lose (a live sender and a receiver still running; drop
+  // draws one key per port, in port order).
+  rand::PhiloxCoins::from_key(fault_keys_[t])
+      .draw_column(link_keys_, r, link_draws_);
+  if (churn_) {
+    std::uint64_t hits = 0;
+    for (std::uint64_t& draw : link_draws_) {
+      draw = fault_->link_hit(draw) ? 1 : 0;
+      hits += draw;
+    }
+    churned_[t] += hits;
+    for (std::size_t port = 0; port < ports_; ++port) {
+      silent[port] = static_cast<char>(link_draws_[port_slot_[port]]);
+    }
+    if (dead_counts_[t] == 0) return;
+    for (graph::NodeId v = 0; v < n_; ++v) {
+      if (dead[v] != 0) silence_ports_facing(t, v);
+    }
+    return;
+  }
+  const char* halted = halted_.data() + at(t, 0);
+  for (graph::NodeId v = 0; v < n_; ++v) {
+    const auto nbrs = g.neighbors(v);
+    const std::size_t base = g.port_offset(v);
+    for (std::size_t p = 0; p < nbrs.size(); ++p) {
+      const bool hit = fault_->link_hit(link_draws_[base + p]);
+      const bool sender_dead = dead[nbrs[p]] != 0;
+      silent[base + p] = static_cast<char>(hit || sender_dead);
+      dropped_[t] += hit && halted[v] == 0 && !sender_dead ? 1 : 0;
+    }
+  }
+}
+
+void run_vector_batch(const Instance& inst, const NodeProgramFactory& factory,
+                      std::span<const std::uint64_t> coin_keys,
+                      const fault::FaultModel* fault,
+                      std::span<const std::uint64_t> fault_keys,
+                      VectorScratch& scratch, Telemetry* accumulate,
+                      const VectorFinish& finish) {
   const auto trials = static_cast<std::uint32_t>(coin_keys.size());
   if (trials == 0) return;
   const auto n = static_cast<std::uint32_t>(inst.node_count());
@@ -124,6 +273,8 @@ void run_vector_batch(
     std::iota(list, list + n, 0u);
   }
 
+  batch.reset_faults(fault, fault_keys);
+
   program.init(batch);
 
   // Re-filters a live trial's active-node list after halts, and retires
@@ -134,14 +285,7 @@ void run_vector_batch(
         batch.rounds_[t] = round;
         return true;
       }
-      std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
-      const std::uint32_t count = batch.active_counts_[t];
-      std::uint32_t kept = 0;
-      for (std::uint32_t k = 0; k < count; ++k) {
-        const std::uint32_t v = list[k];
-        if (batch.halted_[batch.at(t, v)] == 0) list[kept++] = v;
-      }
-      batch.active_counts_[t] = kept;
+      batch.compact_active(t);
       return false;
     };
     auto& live = batch.live_trials_;
@@ -155,10 +299,21 @@ void run_vector_batch(
   obs::MetricsRegistry* obs_metrics = obs::worker_metrics();
   const util::Timer kernel_timer;
   settle(0);
+  const bool faulty = batch.fault_ != nullptr;
+  const int max_rounds = faulty ? kFaultMaxRounds : kMaxRounds;
   int round = 0;
   while (!batch.live_trials_.empty()) {
-    LNC_ASSERT(round < kMaxRounds);
+    if (round >= max_rounds) {
+      // Only a faulty run may stall; it keeps its current outputs.
+      LNC_ASSERT(faulty);
+      for (const std::uint32_t t : batch.live_trials_) batch.rounds_[t] = round;
+      break;
+    }
     ++round;
+    if (faulty) {
+      batch.for_each_live_trial(
+          [&](std::uint32_t t) { batch.realize_faults(t, round); });
+    }
     program.round(batch, round);
     settle(round);
   }
@@ -181,8 +336,18 @@ void run_vector_batch(
     delta.messages_sent = batch.messages_[t];
     delta.words_sent = batch.words_[t];
     delta.rounds_executed = static_cast<std::uint64_t>(batch.rounds_[t]);
-    if (accumulate != nullptr) accumulate->merge(delta);
     program.output(batch, t, scratch.output_);
+    if (faulty) {
+      delta.messages_dropped = batch.dropped_[t];
+      delta.nodes_crashed = batch.dead_counts_[t];
+      delta.edges_churned = batch.churned_[t];
+      // A crashed node produced no output: label 0 is its tombstone.
+      const char* dead = batch.dead_.data() + batch.at(t, 0);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        if (dead[v] != 0) scratch.output_[v] = 0;
+      }
+    }
+    if (accumulate != nullptr) accumulate->merge(delta);
     finish(t, scratch.output_, batch.rounds_[t], delta);
   }
 }

@@ -10,14 +10,26 @@
 //     storage indexed [trial * n + node] (no program objects at all);
 //   * coin flips are drawn batch-at-a-time per round from the per-trial
 //     Philox streams — VecRng replays the exact (key, identity, counter)
-//     draw sequence of rand::NodeRng, so every number is bit-identical
-//     to the scalar engine's;
+//     draw sequence of rand::NodeRng, and VectorBatch::draw_next fills a
+//     whole gathered node list through the bulk kernel, so every number
+//     is bit-identical to the scalar engine's;
 //   * message rounds are flat passes over the batch against the shared
 //     CSR adjacency (messages are never materialized: a "received"
 //     message is a read of the sender's round-start state);
 //   * compact per-round lists skip trials that already terminated and
 //     nodes that are halted, and the SoA arrays and vector program stay
 //     warm across batches.
+//
+// Fault models (src/fault/) run here with the scalar engine's semantics.
+// At each round start, before the program's pass, the driver resolves
+// that round's crashes (dead nodes halt and output the 0 tombstone),
+// fills the round's link-draw column for every live trial with one bulk
+// call (the link keys depend only on identities, so they are laid out
+// once per batch), and keeps a per-(trial, port) silence bit: a port is
+// silent when its neighbour is dead or the link fault hit it this round.
+// Programs test VectorBatch::hears() wherever their scalar twin skips an
+// empty message, and charge traffic only to the senders still alive. The
+// fault counters follow run_engine's rules exactly.
 //
 // A program opts in by overriding NodeProgramFactory::create_vector()
 // (local/engine.h); everything else transparently falls back to the
@@ -26,8 +38,8 @@
 // degree).
 //
 // The contract, gated by tests/vector_engine_test.cpp and CI: tallies,
-// exact sums, and deterministic telemetry are bit-identical across
-// backends x thread counts x shard partitions.
+// exact sums, and deterministic telemetry (fault counters included) are
+// bit-identical across backends x thread counts x shard partitions.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +53,10 @@
 
 #include "local/engine.h"
 #include "rand/philox.h"
+
+namespace lnc::fault {
+class FaultModel;
+}  // namespace lnc::fault
 
 namespace lnc::local {
 
@@ -111,10 +127,16 @@ struct VecRng {
 
 class VectorScratch;
 
+/// Per-trial result hook of run_vector_batch: the local trial index, the
+/// output labeling (valid only during the call), the executed round
+/// count, and the trial's deterministic telemetry delta.
+using VectorFinish = std::function<void(std::uint32_t, const Labeling&, int,
+                                        const Telemetry&)>;
+
 /// Shared driver-owned state of one lockstep batch: the instance, the
-/// per-(trial, node) RNG and halt arrays, per-trial round/traffic
-/// accounting, and the live-trial and active-node lists. VectorPrograms
-/// read and update it from their flat round passes.
+/// per-(trial, node) RNG and halt arrays, the realized faults, per-trial
+/// round/traffic accounting, and the live-trial and active-node lists.
+/// VectorPrograms read and update it from their flat round passes.
 class VectorBatch {
  public:
   const Instance& instance() const noexcept { return *inst_; }
@@ -130,6 +152,11 @@ class VectorBatch {
     return rngs_[at(trial, node)];
   }
 
+  /// out[i] = rng(trial, nodes[i]).next_u64() for every i, in order,
+  /// filled through one bulk philox call: the draw pass of a round.
+  void draw_next(std::uint32_t trial, std::span<const std::uint32_t> nodes,
+                 std::vector<std::uint64_t>& out);
+
   bool halted(std::uint32_t trial, std::uint32_t node) const noexcept {
     return halted_[at(trial, node)] != 0;
   }
@@ -142,6 +169,26 @@ class VectorBatch {
       flag = 1;
       --live_nodes_[trial];
     }
+  }
+
+  /// Whether port p of `node` hears its neighbour this round: the
+  /// neighbour has not crashed and no link fault silenced the delivery.
+  /// Always true without a fault model. Programs consult it wherever the
+  /// scalar program skips an empty (silent) message.
+  bool hears(std::uint32_t trial, std::uint32_t node,
+             std::size_t p) const noexcept {
+    return fault_ == nullptr ||
+           silent_[static_cast<std::size_t>(trial) * ports_ +
+                   inst_->g.port_offset(node) + p] == 0;
+  }
+
+  /// Crashed nodes of `trial` so far. They send nothing: a round's
+  /// traffic is charged to the nodes() - dead_count(trial) survivors.
+  std::uint32_t dead_count(std::uint32_t trial) const noexcept {
+    return fault_ != nullptr ? dead_counts_[trial] : 0;
+  }
+  bool dead(std::uint32_t trial, std::uint32_t node) const noexcept {
+    return fault_ != nullptr && dead_[at(trial, node)] != 0;
   }
 
   /// Charges `messages` non-silent messages totalling `words` words to
@@ -171,16 +218,30 @@ class VectorBatch {
   }
 
  private:
-  friend class VectorScratch;
   friend void run_vector_batch(const Instance& inst,
                                const NodeProgramFactory& factory,
                                std::span<const std::uint64_t> coin_keys,
+                               const fault::FaultModel* fault,
+                               std::span<const std::uint64_t> fault_keys,
                                VectorScratch& scratch, Telemetry* accumulate,
-                               const std::function<void(
-                                   std::uint32_t, const Labeling&, int,
-                                   const Telemetry&)>& finish);
+                               const VectorFinish& finish);
+
+  /// A crash realized at `round` (1-based) of one trial.
+  struct Crash {
+    std::uint64_t round = 0;
+    std::uint32_t node = 0;
+  };
 
   std::size_t footprint_bytes() const noexcept;
+  /// Drops the halted nodes from a trial's active list.
+  void compact_active(std::uint32_t trial) noexcept;
+  /// Arms the batch for `fault` (null or trivial: fault-free).
+  void reset_faults(const fault::FaultModel* fault,
+                    std::span<const std::uint64_t> fault_keys);
+  /// The fault pass of `round` for one live trial (see the file comment).
+  void realize_faults(std::uint32_t trial, int round);
+  /// Silences every neighbour's port that faces a crashed node.
+  void silence_ports_facing(std::uint32_t trial, std::uint32_t node) noexcept;
 
   const Instance* inst_ = nullptr;
   std::uint32_t n_ = 0;
@@ -196,6 +257,27 @@ class VectorBatch {
   std::vector<std::uint32_t> live_trials_;   // unfinished trials
   std::vector<std::uint32_t> active_nodes_;  // [trial * n]: non-halted
   std::vector<std::uint32_t> active_counts_;  // per trial
+
+  std::vector<std::uint64_t> draw_hi_;  // draw_next gather: identities...
+  std::vector<std::uint64_t> draw_lo_;  // ...and draw indices
+
+  // Fault state, sized only under a non-trivial model (fault_ set).
+  const fault::FaultModel* fault_ = nullptr;
+  bool churn_ = false;  // link draws are per edge (churn), not per port
+  std::size_t ports_ = 0;
+  std::vector<std::uint64_t> fault_keys_;  // per trial: fault-coin key
+  std::vector<char> dead_;                 // [trial * n + node]
+  std::vector<std::uint32_t> dead_counts_;  // per trial: nodes_crashed
+  std::vector<char> silent_;               // [trial * ports + port]
+  std::vector<Crash> crashes_;      // per trial, in round order
+  std::vector<std::size_t> crash_next_;  // per trial: next in crashes_
+  std::vector<std::size_t> crash_end_;   // per trial: end in crashes_
+  std::vector<std::uint64_t> crash_rounds_;  // one trial's crash draws
+  std::vector<std::uint64_t> link_keys_;     // per link draw, whole batch
+  std::vector<std::size_t> port_slot_;       // port -> link_keys_ index
+  std::vector<std::uint64_t> link_draws_;    // one trial's round column
+  std::vector<std::uint64_t> dropped_;  // per trial: messages_dropped
+  std::vector<std::uint64_t> churned_;  // per trial: edges_churned
 };
 
 /// A trial-vectorized node program: the SoA counterpart of one
@@ -203,7 +285,12 @@ class VectorBatch {
 /// Implementations own their state arrays (sized in init, capacity kept
 /// across batches when the scratch is reused) and must replicate the
 /// scalar program exactly: per-node draw sequences, halting rounds, and
-/// per-round message/word counts.
+/// per-round message/word counts. Under a fault model that means reading
+/// a neighbour only where VectorBatch::hears() allows it and charging
+/// traffic to the dead_count()-reduced senders; the driver owns crashes,
+/// the silence bits, the fault counters and the crashed nodes' outputs.
+/// A program whose nodes could stay silent while alive would need more
+/// than this: the driver assumes every live node sends each round.
 class VectorProgram {
  public:
   virtual ~VectorProgram() = default;
@@ -240,41 +327,48 @@ class VectorScratch {
   VectorScratch(VectorScratch&&) = default;
   VectorScratch& operator=(VectorScratch&&) = default;
 
+  /// Reusable per-batch key buffers for callers assembling key spans.
+  std::vector<std::uint64_t>& coin_key_buffer() noexcept { return coin_keys_; }
+  std::vector<std::uint64_t>& fault_key_buffer() noexcept {
+    return fault_keys_;
+  }
+
  private:
   friend void run_vector_batch(const Instance& inst,
                                const NodeProgramFactory& factory,
                                std::span<const std::uint64_t> coin_keys,
+                               const fault::FaultModel* fault,
+                               std::span<const std::uint64_t> fault_keys,
                                VectorScratch& scratch, Telemetry* accumulate,
-                               const std::function<void(
-                                   std::uint32_t, const Labeling&, int,
-                                   const Telemetry&)>& finish);
+                               const VectorFinish& finish);
 
   std::unique_ptr<VectorProgram> program_;
   const NodeProgramFactory* last_factory_ = nullptr;
   std::string last_factory_name_;
   VectorBatch batch_;
   Labeling output_;
-  std::vector<std::uint64_t> coin_keys_;  // BatchRunner's reusable key buffer
-public:
-  /// Reusable per-batch coin-key buffer for callers assembling key spans.
-  std::vector<std::uint64_t>& coin_key_buffer() noexcept { return coin_keys_; }
+  std::vector<std::uint64_t> coin_keys_;   // BatchRunner's reusable buffers
+  std::vector<std::uint64_t> fault_keys_;
 };
 
 /// Runs one lockstep batch of coin_keys.size() trials of the factory's
 /// vector program (factory.create_vector() must be non-null) on `inst`.
 /// coin_keys[t] is trial t's construction-coin Philox key — the exact
 /// PhiloxCoins key the scalar engine would have been handed, so draws
-/// match bit for bit. For each trial, `finish` receives the local trial
-/// index, the output labeling (valid only during the call), the executed
-/// round count, and the trial's deterministic telemetry delta. The
-/// deltas (plus the batch arena high-water mark) are merged into
-/// `accumulate` when non-null — the per-worker accumulator the batch
-/// runner reads, exactly like EngineScratch::telemetry().
-void run_vector_batch(
-    const Instance& inst, const NodeProgramFactory& factory,
-    std::span<const std::uint64_t> coin_keys, VectorScratch& scratch,
-    Telemetry* accumulate,
-    const std::function<void(std::uint32_t, const Labeling&, int,
-                             const Telemetry&)>& finish);
+/// match bit for bit. With a non-null, non-trivial `fault`, the batch
+/// runs under that model: fault_keys[t] is trial t's fault-coin key
+/// (TrialEnv::fault_coins().key()), and a trial still running after
+/// kFaultMaxRounds rounds stops there with its current outputs, as the
+/// scalar engine construction does. Otherwise `fault_keys` is ignored.
+/// `finish` receives each trial's result (VectorFinish). The deltas (plus
+/// the batch arena high-water mark) are merged into `accumulate` when
+/// non-null — the per-worker accumulator the batch runner reads, exactly
+/// like EngineScratch::telemetry().
+void run_vector_batch(const Instance& inst, const NodeProgramFactory& factory,
+                      std::span<const std::uint64_t> coin_keys,
+                      const fault::FaultModel* fault,
+                      std::span<const std::uint64_t> fault_keys,
+                      VectorScratch& scratch, Telemetry* accumulate,
+                      const VectorFinish& finish);
 
 }  // namespace lnc::local

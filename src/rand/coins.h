@@ -60,6 +60,12 @@ class PhiloxCoins final : public CoinProvider {
   PhiloxCoins(std::uint64_t seed, Stream stream) noexcept
       : key_(mix_keys(seed, static_cast<std::uint64_t>(stream))) {}
 
+  /// The provider whose key() is `key`: rebuilds a stream from the raw
+  /// key a lockstep batch carries per trial.
+  static PhiloxCoins from_key(std::uint64_t key) noexcept {
+    return PhiloxCoins(key);
+  }
+
   std::uint64_t draw(std::uint64_t identity,
                      std::uint64_t draw_index) const override {
     return philox_u64(key_, identity, draw_index);
@@ -72,6 +78,8 @@ class PhiloxCoins final : public CoinProvider {
   std::uint64_t key() const noexcept { return key_; }
 
  private:
+  explicit PhiloxCoins(std::uint64_t key) noexcept : key_(key) {}
+
   std::uint64_t key_;
 };
 

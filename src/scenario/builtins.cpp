@@ -49,13 +49,6 @@ namespace {
 /// topology's own edge sampling under one scenario seed.
 constexpr std::uint64_t kIdSeedTag = 0x1D;
 
-/// Round cap for engine constructions under a non-trivial fault model:
-/// faults can stall termination (a node whose progress messages always
-/// drop never halts), so a faulty run that exhausts this budget is a
-/// legitimate outcome, not an engine bug. Deterministic in the fault
-/// coins, so the cap itself never breaks bit-reproducibility.
-constexpr int kFaultMaxRounds = 256;
-
 ident::IdAssignment ids_for(graph::NodeId n, bool random_ids,
                             std::uint64_t seed) {
   if (random_ids) {
@@ -461,7 +454,7 @@ class EngineConstruction final : public Construction {
       // Lossy/crashed neighborhoods can stall progress detection forever
       // (e.g. a proposer whose acceptances always drop); cap the rounds and
       // let undecided nodes keep their current output.
-      options.max_rounds = kFaultMaxRounds;
+      options.max_rounds = local::kFaultMaxRounds;
     }
     local::EngineResult result = run_engine(inst, *factory_, options);
     if (!faulty) LNC_ASSERT(result.completed);
@@ -540,15 +533,29 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
     static thread_local std::vector<std::uint8_t> wins;   // 1 in MIS, 2 out
     static thread_local std::vector<std::uint64_t> priority;
     state.assign(size, 0);
-    wins.assign(size, 0);
+    wins.resize(size);
     priority.resize(size);
+    // within[d]: the members at distance <= d, a prefix in BFS order.
+    static thread_local std::vector<graph::NodeId> within;
+    within.assign(static_cast<std::size_t>(2 * phases_ + 1), size);
+    for (graph::NodeId v = 0; v < size; ++v) {
+      within[static_cast<std::size_t>(ball.distance(v))] = v + 1;
+    }
+    // Only what the center's final state depends on is simulated. With
+    // `reach` / 2 phases left after this one, a state update matters
+    // within distance `reach`, a win test one hop further (updates read
+    // the neighbours' wins), a priority one more hop (win tests read the
+    // neighbours' priorities).
     for (int phase = 0; phase < phases_; ++phase) {
-      for (graph::NodeId v = 0; v < size; ++v) {
+      const auto reach = static_cast<std::size_t>(2 * (phases_ - 1 - phase));
+      const graph::NodeId tested = within[reach + 1];
+      const graph::NodeId drawn = within[reach + 2];
+      for (graph::NodeId v = 0; v < drawn; ++v) {
         if (state[v] == 0) {
           priority[v] = view.coin(v, static_cast<std::uint64_t>(phase));
         }
       }
-      for (graph::NodeId v = 0; v < size; ++v) {
+      for (graph::NodeId v = 0; v < tested; ++v) {
         if (state[v] != 0) {
           wins[v] = 0;
           continue;
@@ -567,13 +574,17 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
       }
       // Two adjacent undecided nodes never both win (strict total order by
       // (priority, identity)), so applying joins in index order is safe.
-      for (graph::NodeId v = 0; v < size; ++v) {
+      // Every neighbour of a member within `reach` is tested, so the
+      // states there come out exact; the ones beyond are never read again.
+      for (graph::NodeId v = 0; v < tested; ++v) {
         if (wins[v] == 0) continue;
         state[v] = 1;
         for (const graph::NodeId w : ball.neighbors(v)) {
           if (state[w] == 0) state[w] = 2;
         }
       }
+      // A decided center never changes again.
+      if (state[0] != 0) break;
     }
     return state[0] == 1 ? 1 : 0;
   }

@@ -323,13 +323,12 @@ CompiledScenario compile(const ScenarioSpec& spec) {
   const local::RandomizedBallAlgorithm* ball = construction->ball_algorithm();
   // Engine constructions whose factory implements create_vector() can run
   // trial-vectorized; probe the capability once for the whole grid. The
-  // SoA lockstep path has no fault hooks, so faulty specs stay on the
-  // scalar engine (which realizes faults round by round).
+  // SoA lockstep path realizes fault models with the scalar engine's
+  // semantics (local/vector_engine.h), so faulty specs vectorize too.
   const local::NodeProgramFactory* engine_factory =
       construction->engine_factory();
   const bool vectorizable = engine_factory != nullptr &&
-                            engine_factory->create_vector() != nullptr &&
-                            fault == nullptr;
+                            engine_factory->create_vector() != nullptr;
   const bool accept = spec.success_on_accept;
 
   decide::EvaluateOptions eval_options;
@@ -495,6 +494,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
     if (vectorizable) {
       point.plan.vector.instance = inst_ptr;
       point.plan.vector.factory = engine_factory;
+      point.plan.vector.fault = fault;
       if (spec.workload == local::WorkloadKind::kValue ||
           spec.workload == local::WorkloadKind::kCounter) {
         const auto finish_statistic =
@@ -539,13 +539,15 @@ CompiledScenario compile(const ScenarioSpec& spec) {
             };
       } else {
         point.plan.vector.success_finish =
-            [inst_ptr, decider, eval_options, accept](
+            [inst_ptr, decider, eval_options, accept, fault](
                 const local::TrialEnv& env, const local::Labeling& output,
                 int /*rounds*/, const local::Telemetry& /*delta*/) {
               const rand::PhiloxCoins d_coins = env.decision_coins();
+              const rand::PhiloxCoins f_coins = env.fault_coins();
               decide::EvaluateOptions trial_options = eval_options;
               trial_options.telemetry = &env.arena->telemetry();
               trial_options.ball = &env.arena->ball_workspace();
+              if (fault != nullptr) trial_options.fault_coins = &f_coins;
               const decide::DecisionOutcome outcome = decide::evaluate(
                   *inst_ptr, output, *decider, d_coins, trial_options);
               return outcome.accepted == accept;

@@ -22,7 +22,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse() {
-    Json value = parse_value();
+    Json value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail(pos_, "trailing characters");
     return value;
@@ -57,10 +57,18 @@ class Parser {
     return false;
   }
 
-  Json parse_value() {
+  /// `depth`: the containers open around this value.
+  Json parse_value(int depth) {
     const char ch = peek();
-    if (ch == '{') return parse_object();
-    if (ch == '[') return parse_array();
+    if (ch == '{' || ch == '[') {
+      // Containers recurse; bound the depth so hostile input gets a
+      // diagnostic instead of overflowing the stack.
+      if (depth == Json::kMaxDepth) {
+        fail(pos_, "nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                       " levels");
+      }
+      return ch == '{' ? parse_object(depth + 1) : parse_array(depth + 1);
+    }
     if (ch == '"') {
       Json value;
       value.kind = Json::Kind::kString;
@@ -171,7 +179,7 @@ class Parser {
     return json;
   }
 
-  Json parse_array() {
+  Json parse_array(int depth) {
     expect('[');
     Json value;
     value.kind = Json::Kind::kArray;
@@ -180,7 +188,7 @@ class Parser {
       return value;
     }
     while (true) {
-      value.array.push_back(parse_value());
+      value.array.push_back(parse_value(depth));
       const char ch = peek();
       ++pos_;
       if (ch == ']') return value;
@@ -188,7 +196,7 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  Json parse_object(int depth) {
     expect('{');
     Json value;
     value.kind = Json::Kind::kObject;
@@ -200,7 +208,7 @@ class Parser {
       if (peek() != '"') fail(pos_, "expected object key string");
       std::string key = parse_string();
       expect(':');
-      value.object.emplace(std::move(key), parse_value());
+      value.object.emplace(std::move(key), parse_value(depth));
       const char ch = peek();
       ++pos_;
       if (ch == '}') return value;

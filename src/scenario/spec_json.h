@@ -34,6 +34,11 @@ struct Json {
   Array array;
   Object object;
 
+  /// Deepest container nesting parse() accepts. Nothing the stack reads
+  /// (specs, daemon requests, cache entries, manifests) nests more than a
+  /// few levels; deeper input is diagnosed, never recursed into.
+  static constexpr int kMaxDepth = 128;
+
   static Json parse(const std::string& text);
 
   bool has(const std::string& key) const;

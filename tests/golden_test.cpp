@@ -85,9 +85,19 @@ scenario::ScenarioSpec shrunk_preset(const char* name) {
 }
 
 TEST(GoldenPins, FaultPresetsMatchTheSerialDrawBuild) {
-  for (const char* name :
-       {"rand-matching-churn", "luby-mis-crash", "ring-amos-drop"}) {
-    expect_golden(shrunk_preset(name), name);
+  // Every backend the engine presets can run on lands on the same pins:
+  // the scalar engine (batched) and the SoA lockstep batches (vectorized,
+  // which auto picks at these trial counts).
+  using Backend = local::OptimizationConfig::Backend;
+  for (const Backend backend :
+       {Backend::kAuto, Backend::kBatched, Backend::kVectorized}) {
+    for (const char* name :
+         {"rand-matching-churn", "luby-mis-crash", "ring-amos-drop"}) {
+      scenario::ScenarioSpec spec = shrunk_preset(name);
+      spec.backend = backend;
+      expect_golden(spec, std::string(name) + " backend=" +
+                              local::to_string(backend));
+    }
   }
 }
 

@@ -385,5 +385,80 @@ TEST(CoinTable, LubyBallReadsTheSameCoinsAsTheFallbackPaths) {
   }
 }
 
+/// The luby-ball rule simulated on the WHOLE ball for all K phases: the
+/// unpruned reference the registered construction (which simulates only
+/// what the center's state depends on, and stops once it is decided)
+/// must reproduce bit for bit.
+class FullLubyBall final : public RandomizedBallAlgorithm {
+ public:
+  explicit FullLubyBall(int phases) : phases_(phases) {}
+  std::string name() const override { return "full-luby-ball"; }
+  int radius() const override { return phases_; }
+  Label compute(const View& view,
+                const rand::CoinProvider& /*coins*/) const override {
+    const graph::BallView& ball = *view.ball;
+    const graph::NodeId size = ball.size();
+    std::vector<std::uint8_t> state(size, 0);
+    std::vector<std::uint8_t> wins(size, 0);
+    std::vector<std::uint64_t> priority(size);
+    for (int phase = 0; phase < phases_; ++phase) {
+      for (graph::NodeId v = 0; v < size; ++v) {
+        if (state[v] == 0) {
+          priority[v] = view.coin(v, static_cast<std::uint64_t>(phase));
+        }
+      }
+      for (graph::NodeId v = 0; v < size; ++v) {
+        wins[v] = state[v] == 0 ? 1 : 0;
+        if (wins[v] == 0) continue;
+        for (const graph::NodeId w : ball.neighbors(v)) {
+          if (state[w] != 0) continue;
+          if (priority[w] < priority[v] ||
+              (priority[w] == priority[v] &&
+               view.identity(w) < view.identity(v))) {
+            wins[v] = 0;
+            break;
+          }
+        }
+      }
+      for (graph::NodeId v = 0; v < size; ++v) {
+        if (wins[v] == 0) continue;
+        state[v] = 1;
+        for (const graph::NodeId w : ball.neighbors(v)) {
+          if (state[w] == 0) state[w] = 2;
+        }
+      }
+    }
+    return state[0] == 1 ? 1 : 0;
+  }
+
+ private:
+  int phases_;
+};
+
+TEST(LubyBall, PrunedSimulationMatchesTheFullBallSimulation) {
+  const graph::NodeId n = 96;
+  const Instance instances[] = {
+      make_instance(graph::cycle(n), ident::random_permutation(n, 21)),
+      make_instance(graph::random_regular(n, 3, 22),
+                    ident::random_permutation(n, 23)),
+      make_instance(graph::random_regular(n, 4, 24),
+                    ident::random_permutation(n, 25)),
+  };
+  for (const Instance& inst : instances) {
+    for (int phases = 1; phases <= 5; ++phases) {
+      const auto construction = luby_ball(phases);
+      const RandomizedBallAlgorithm& pruned = *construction->ball_algorithm();
+      const FullLubyBall full(phases);
+      for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const rand::PhiloxCoins coins(seed, rand::Stream::kConstruction);
+        EXPECT_EQ(run_ball_algorithm(inst, pruned, coins),
+                  run_ball_algorithm(inst, full, coins))
+            << "phases=" << phases << " seed=" << seed
+            << " max_degree=" << inst.g.max_degree();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lnc::local

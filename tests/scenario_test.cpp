@@ -4,7 +4,10 @@
 // recycling.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -590,6 +593,59 @@ TEST(SpecJson, MalformedInputThrowsWithOffset) {
                std::runtime_error);
   EXPECT_THROW(scenario::spec_from_json("{\"success\": \"maybe\"}"),
                std::runtime_error);
+}
+
+TEST(SpecJson, DeepNestingIsDiagnosedNotRecursed) {
+  constexpr int kMax = scenario::Json::kMaxDepth;
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(scenario::Json::parse(nested(kMax)).kind,
+            scenario::Json::Kind::kArray);
+  std::string objects;
+  for (int i = 0; i < 30000; ++i) objects += "{\"a\": ";
+  // One level too deep, far past any stack the parser could recurse
+  // through (unterminated), and nested objects: each is diagnosed at the
+  // container that opens level kMax + 1.
+  const struct {
+    std::string input;
+    std::size_t offset;
+  } cases[] = {
+      {nested(kMax + 1), kMax},
+      {std::string(30000, '['), kMax},
+      {objects, 6 * kMax},  // each level is `{"a": ` (6 characters)
+  };
+  for (const auto& c : cases) {
+    try {
+      scenario::Json::parse(c.input);
+      ADD_FAILURE() << "deep input of " << c.input.size() << " bytes parsed";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("JSON error at offset " + std::to_string(c.offset) +
+                               ": nesting deeper than",
+                           0),
+                0u)
+          << what;
+    }
+  }
+}
+
+TEST(SpecJson, DeepSpecFileIsDiagnosedByTheCli) {
+  const std::filesystem::path file =
+      std::filesystem::path(::testing::TempDir()) / "lnc-deep-spec.json";
+  std::ofstream(file) << std::string(30000, '[');
+  const std::string command = std::string(LNC_BINARY_DIR) +
+                              "/lnc_sweep --spec " + file.string() + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) output += buffer;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << "lnc_sweep died: " << output;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+  EXPECT_NE(output.find("JSON error at offset"), std::string::npos) << output;
 }
 
 TEST(Recycling, ScratchReuseAcrossFactoriesStaysCorrect) {

@@ -538,4 +538,19 @@ TEST(DaemonProtocol, RejectsBadRequestsWithoutDying) {
   EXPECT_EQ(service.stats().trials_computed, 0u);
 }
 
+TEST(DaemonProtocol, DeepRequestLineIsAnErrorAndTheDaemonAnswersOn) {
+  serve::ServiceOptions options;
+  options.threads = 1;
+  serve::SweepService service(fresh_dir("deep"), options);
+  // 50 KB of '[' used to overflow the parser's stack and kill the daemon.
+  const std::string deep = serve::handle_request_line(
+      service, std::string(50000, '['));
+  EXPECT_NE(deep.find("\"status\": \"error\""), std::string::npos) << deep;
+  EXPECT_NE(deep.find("JSON error at offset"), std::string::npos) << deep;
+  const std::string stats =
+      serve::handle_request_line(service, "{\"op\": \"stats\"}");
+  EXPECT_NE(stats.find("\"status\": \"ok\""), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"queries\": 0"), std::string::npos) << stats;
+}
+
 }  // namespace

@@ -1,9 +1,9 @@
 // Vector-engine backend tests: the acceptance gate of the trial-vectorized
 // SoA backend. Every backend (naive / batched / vectorized), every thread
-// count, every shard partition, and every batch width must
-// produce bit-identical tallies, exact sums, counter slots, and
-// deterministic telemetry — forcing a backend is a performance choice,
-// never a results choice.
+// count, every shard partition, every batch width and every fault model
+// must produce bit-identical tallies, exact sums, counter slots, and
+// deterministic telemetry (fault counters included) — forcing a backend
+// is a performance choice, never a results choice.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -69,7 +69,12 @@ void expect_tallies_identical(const local::ShardTally& a,
       << what << ": msgs " << a.telemetry.messages_sent << " vs "
       << b.telemetry.messages_sent << ", words " << a.telemetry.words_sent
       << " vs " << b.telemetry.words_sent << ", rounds "
-      << a.telemetry.rounds_executed << " vs " << b.telemetry.rounds_executed;
+      << a.telemetry.rounds_executed << " vs " << b.telemetry.rounds_executed
+      << ", dropped " << a.telemetry.messages_dropped << " vs "
+      << b.telemetry.messages_dropped << ", crashed "
+      << a.telemetry.nodes_crashed << " vs " << b.telemetry.nodes_crashed
+      << ", churned " << a.telemetry.edges_churned << " vs "
+      << b.telemetry.edges_churned;
 }
 
 void expect_results_identical(const scenario::SweepResult& a,
@@ -167,6 +172,83 @@ TEST(VectorEngine, BatchWidthPreservesBitIdentity) {
           [](OptimizationConfig& c) { c.batch_trials = 7; });
 }
 
+// Every vector program under every fault model, on a random 3-regular
+// graph: a success workload (the global membership check of the tombstoned
+// output) and a value workload (executed rounds, which the kFaultMaxRounds
+// cap bounds under heavy loss).
+std::vector<scenario::ScenarioSpec> faulty_specs() {
+  const struct {
+    const char* construction;
+    const char* language;
+  } programs[] = {{"luby-mis", "mis"},
+                  {"rand-matching", "matching"},
+                  {"weak-color-mc", "weak-coloring"}};
+  const struct {
+    const char* name;
+    scenario::ParamMap params;
+  } faults[] = {{"drop", {{"p-loss", 0.3}}},
+                {"crash", {{"p-crash", 0.15}, {"crash-round", 6}}},
+                {"churn", {{"p-churn", 0.25}}}};
+  std::vector<scenario::ScenarioSpec> specs;
+  for (const auto& program : programs) {
+    for (const auto& fault : faults) {
+      for (const bool value : {false, true}) {
+        scenario::ScenarioSpec spec;
+        spec.name = std::string(program.construction) + "-" + fault.name +
+                    (value ? "-rounds" : "");
+        spec.topology = "random-regular";
+        spec.params = {{"degree", 3}};
+        spec.language = program.language;
+        spec.construction = program.construction;
+        spec.decider = "exact";
+        spec.fault = fault.name;
+        spec.fault_params = fault.params;
+        if (value) {
+          spec.workload = local::WorkloadKind::kValue;
+          spec.statistic = "rounds";
+        }
+        spec.n_grid = {48};
+        spec.trials = 40;
+        spec.base_seed = 0xFA17;
+        specs.push_back(spec);
+      }
+    }
+  }
+  return specs;
+}
+
+TEST(VectorEngine, FaultModelsAreBitIdenticalAcrossBackends) {
+  for (const scenario::ScenarioSpec& base : faulty_specs()) {
+    ASSERT_EQ(scenario::validate(base), "") << base.name;
+    scenario::ScenarioSpec batched = base;
+    batched.backend = Backend::kBatched;
+    scenario::ScenarioSpec vectorized = base;
+    vectorized.backend = Backend::kVectorized;
+    const scenario::CompiledScenario scalar = scenario::compile(batched);
+    const scenario::CompiledScenario lockstep = scenario::compile(vectorized);
+    const local::ExperimentPlan& scalar_plan = scalar.points()[0].plan;
+    const local::ExperimentPlan& vector_plan = lockstep.points()[0].plan;
+    ASSERT_TRUE(vector_plan.vector.engaged()) << base.name;
+    ASSERT_NE(vector_plan.vector.fault, nullptr) << base.name;
+
+    local::BatchRunner runner(nullptr);
+    for (const local::TrialRange range :
+         {local::TrialRange{0, base.trials}, local::TrialRange{5, 29}}) {
+      const std::string where = base.name + " trials [" +
+                                std::to_string(range.begin) + ", " +
+                                std::to_string(range.end) + ")";
+      const local::ShardTally want = runner.run_shard(scalar_plan, range);
+      for (const std::uint64_t width : {1u, 7u, 32u}) {
+        local::ExperimentPlan plan = vector_plan;
+        plan.optimization.batch_trials = width;
+        expect_tallies_identical(
+            want, runner.run_shard(plan, range),
+            where + " batch_trials=" + std::to_string(width));
+      }
+    }
+  }
+}
+
 TEST(VectorEngine, AutomaticConfigPicksSaneBackends) {
   EXPECT_EQ(OptimizationConfig::automatic(64, 1, 2.0).backend,
             Backend::kNaive);
@@ -230,7 +312,7 @@ TEST(VectorEngine, DirectBatchMatchesScalarEngineTrialForTrial) {
         std::span<const std::uint64_t>(keys.data() + 5, kTrials - 5)}) {
     const std::uint32_t base = seen;
     local::run_vector_batch(
-        inst, factory, slice, scratch, nullptr,
+        inst, factory, slice, nullptr, {}, scratch, nullptr,
         [&](std::uint32_t trial, const local::Labeling& output, int rounds,
             const local::Telemetry& delta) {
           const std::uint32_t global = base + trial;
