@@ -45,23 +45,12 @@ ExperimentPlan custom_count_plan(
 }
 
 const char* to_string(WorkloadKind kind) noexcept {
-  switch (kind) {
-    case WorkloadKind::kSuccess:
-      return "success";
-    case WorkloadKind::kValue:
-      return "value";
-    case WorkloadKind::kCounter:
-      return "counter";
-  }
-  return "?";
+  return kWorkloadNames.name(kind);
 }
 
 std::optional<WorkloadKind> workload_from_string(
     std::string_view text) noexcept {
-  if (text == "success") return WorkloadKind::kSuccess;
-  if (text == "value") return WorkloadKind::kValue;
-  if (text == "counter") return WorkloadKind::kCounter;
-  return std::nullopt;
+  return kWorkloadNames.parse(text);
 }
 
 WorkloadKind workload_kind(const ExperimentPlan& plan) {

@@ -38,6 +38,7 @@
 #include "rand/coins.h"
 #include "stats/montecarlo.h"
 #include "stats/threadpool.h"
+#include "util/string_util.h"
 
 namespace lnc::obs {
 class Progress;
@@ -245,6 +246,11 @@ struct ExperimentPlan {
 /// plans tally {0,1} outcomes into a Wilson estimate; value plans
 /// average a real statistic; counter plans sum integer slots.
 enum class WorkloadKind { kSuccess, kValue, kCounter };
+
+inline constexpr util::EnumNames<WorkloadKind, 3> kWorkloadNames{{{
+    {WorkloadKind::kSuccess, "success"},
+    {WorkloadKind::kValue, "value"},
+    {WorkloadKind::kCounter, "counter"}}}};
 
 const char* to_string(WorkloadKind kind) noexcept;
 

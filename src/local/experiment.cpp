@@ -181,15 +181,7 @@ void charge_fault_telemetry(const graph::Graph& g,
 }
 
 const char* to_string(ExecMode mode) noexcept {
-  switch (mode) {
-    case ExecMode::kBalls:
-      return "balls";
-    case ExecMode::kMessages:
-      return "messages";
-    case ExecMode::kTwoPhase:
-      return "two-phase";
-  }
-  return "?";
+  return kExecModeNames.name(mode);
 }
 
 void run_construction_into(const Instance& inst, const BallAlgorithm& algo,

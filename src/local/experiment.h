@@ -32,6 +32,11 @@ namespace lnc::local {
 
 enum class ExecMode { kBalls, kMessages, kTwoPhase };
 
+inline constexpr util::EnumNames<ExecMode, 3> kExecModeNames{{{
+    {ExecMode::kBalls, "balls"},
+    {ExecMode::kMessages, "messages"},
+    {ExecMode::kTwoPhase, "two-phase"}}}};
+
 const char* to_string(ExecMode mode) noexcept;
 
 struct ExecOptions {

@@ -48,26 +48,12 @@ OptimizationConfig OptimizationConfig::automatic(std::uint64_t n,
 }
 
 const char* to_string(OptimizationConfig::Backend backend) noexcept {
-  switch (backend) {
-    case OptimizationConfig::Backend::kAuto:
-      return "auto";
-    case OptimizationConfig::Backend::kNaive:
-      return "naive";
-    case OptimizationConfig::Backend::kBatched:
-      return "batched";
-    case OptimizationConfig::Backend::kVectorized:
-      return "vectorized";
-  }
-  return "auto";
+  return kBackendNames.name(backend);
 }
 
 std::optional<OptimizationConfig::Backend> backend_from_string(
     std::string_view text) noexcept {
-  if (text == "auto") return OptimizationConfig::Backend::kAuto;
-  if (text == "naive") return OptimizationConfig::Backend::kNaive;
-  if (text == "batched") return OptimizationConfig::Backend::kBatched;
-  if (text == "vectorized") return OptimizationConfig::Backend::kVectorized;
-  return std::nullopt;
+  return kBackendNames.parse(text);
 }
 
 std::size_t VectorBatch::footprint_bytes() const noexcept {

@@ -53,6 +53,7 @@
 
 #include "local/engine.h"
 #include "rand/philox.h"
+#include "util/string_util.h"
 
 namespace lnc::fault {
 class FaultModel;
@@ -84,6 +85,12 @@ struct OptimizationConfig {
   static OptimizationConfig automatic(std::uint64_t n, std::uint64_t trials,
                                       double mean_degree);
 };
+
+inline constexpr util::EnumNames<OptimizationConfig::Backend, 4>
+    kBackendNames{{{{OptimizationConfig::Backend::kAuto, "auto"},
+                    {OptimizationConfig::Backend::kNaive, "naive"},
+                    {OptimizationConfig::Backend::kBatched, "batched"},
+                    {OptimizationConfig::Backend::kVectorized, "vectorized"}}}};
 
 const char* to_string(OptimizationConfig::Backend backend) noexcept;
 

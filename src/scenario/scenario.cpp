@@ -66,23 +66,12 @@ std::string check_param(const std::string& key, double value,
 }  // namespace
 
 const char* to_string(Execution execution) noexcept {
-  switch (execution) {
-    case Execution::kAuto:
-      return "auto";
-    case Execution::kMaterialized:
-      return "materialized";
-    case Execution::kImplicit:
-      return "implicit";
-  }
-  return "auto";
+  return kExecutionNames.name(execution);
 }
 
 std::optional<Execution> execution_from_string(
     std::string_view text) noexcept {
-  if (text == "auto") return Execution::kAuto;
-  if (text == "materialized") return Execution::kMaterialized;
-  if (text == "implicit") return Execution::kImplicit;
-  return std::nullopt;
+  return kExecutionNames.parse(text);
 }
 
 std::string validate(const ScenarioSpec& spec) {

@@ -39,6 +39,11 @@ enum class Execution { kAuto, kMaterialized, kImplicit };
 /// for.
 inline constexpr std::uint64_t kMaterializeCap = 4'000'000;
 
+inline constexpr util::EnumNames<Execution, 3> kExecutionNames{{{
+    {Execution::kAuto, "auto"},
+    {Execution::kMaterialized, "materialized"},
+    {Execution::kImplicit, "implicit"}}}};
+
 const char* to_string(Execution execution) noexcept;
 std::optional<Execution> execution_from_string(std::string_view text) noexcept;
 

@@ -228,6 +228,45 @@ class Parser {
 
 Json Json::parse(const std::string& text) { return Parser(text).parse(); }
 
+std::string Json::dump() const {
+  std::ostringstream os;
+  os.precision(17);
+  switch (kind) {
+    case Kind::kNull: os << "null"; break;
+    case Kind::kBool: os << (boolean ? "true" : "false"); break;
+    case Kind::kNumber:
+      if (is_uint64) {
+        os << integer;
+      } else {
+        os << number;
+      }
+      break;
+    case Kind::kString: os << '"' << util::json_escape(string) << '"'; break;
+    case Kind::kArray: {
+      const char* separator = "";
+      os << '[';
+      for (const Json& item : array) {
+        os << separator << item.dump();
+        separator = ", ";
+      }
+      os << ']';
+      break;
+    }
+    case Kind::kObject: {
+      const char* separator = "";
+      os << '{';
+      for (const auto& [key, value] : object) {
+        os << separator << '"' << util::json_escape(key)
+           << "\": " << value.dump();
+        separator = ", ";
+      }
+      os << '}';
+      break;
+    }
+  }
+  return os.str();
+}
+
 bool Json::has(const std::string& key) const {
   return kind == Kind::kObject && object.find(key) != object.end();
 }
@@ -277,7 +316,24 @@ ScenarioSpec spec_from_json(const std::string& text) {
 
 ScenarioSpec spec_from_json(const Json& root) {
   ScenarioSpec spec;
-  for (const auto& [key, value] : root.as_object()) {
+  apply_spec_fields(root, spec);
+  return spec;
+}
+
+void apply_spec_fields(const Json& fields, ScenarioSpec& spec) {
+  // Enum-valued fields share one diagnostic shape, listing the choices
+  // from the enum's own name table.
+  const auto choice = [](const std::string& key, const Json& value,
+                         const auto& names) {
+    const auto parsed = names.parse(value.as_string());
+    if (!parsed) {
+      throw std::runtime_error("spec '" + key + "' must be " +
+                               names.choices() + ", got '" +
+                               value.as_string() + "'");
+    }
+    return *parsed;
+  };
+  for (const auto& [key, value] : fields.as_object()) {
     if (key == "name") {
       spec.name = value.as_string();
     } else if (key == "doc") {
@@ -301,6 +357,7 @@ ScenarioSpec spec_from_json(const Json& root) {
         spec.params[param_name] = param_value.as_number();
       }
     } else if (key == "n") {
+      spec.n_grid.clear();
       for (const Json& n : value.as_array()) {
         spec.n_grid.push_back(n.as_uint64());
       }
@@ -309,56 +366,26 @@ ScenarioSpec spec_from_json(const Json& root) {
     } else if (key == "seed") {
       spec.base_seed = value.as_uint64();
     } else if (key == "workload") {
-      const std::optional<local::WorkloadKind> kind =
-          local::workload_from_string(value.as_string());
-      if (!kind) {
-        throw std::runtime_error(
-            "spec 'workload' must be success|value|counter");
-      }
-      spec.workload = *kind;
+      spec.workload = choice(key, value, local::kWorkloadNames);
     } else if (key == "statistic") {
       spec.statistic = value.as_string();
     } else if (key == "success") {
       const std::string& side = value.as_string();
       if (side != "accept" && side != "reject") {
-        throw std::runtime_error("spec 'success' must be accept|reject");
+        throw std::runtime_error("spec 'success' must be accept|reject, got '" +
+                                 side + "'");
       }
       spec.success_on_accept = side == "accept";
     } else if (key == "backend") {
-      const std::optional<local::OptimizationConfig::Backend> backend =
-          local::backend_from_string(value.as_string());
-      if (!backend) {
-        throw std::runtime_error(
-            "spec 'backend' must be auto|naive|batched|vectorized, got '" +
-            value.as_string() + "'");
-      }
-      spec.backend = *backend;
+      spec.backend = choice(key, value, local::kBackendNames);
     } else if (key == "execution") {
-      const std::optional<Execution> execution =
-          execution_from_string(value.as_string());
-      if (!execution) {
-        throw std::runtime_error(
-            "spec 'execution' must be auto|materialized|implicit, got '" +
-            value.as_string() + "'");
-      }
-      spec.execution = *execution;
+      spec.execution = choice(key, value, kExecutionNames);
     } else if (key == "mode") {
-      const std::string& mode = value.as_string();
-      if (mode == "balls") {
-        spec.mode = local::ExecMode::kBalls;
-      } else if (mode == "messages") {
-        spec.mode = local::ExecMode::kMessages;
-      } else if (mode == "two-phase") {
-        spec.mode = local::ExecMode::kTwoPhase;
-      } else {
-        throw std::runtime_error(
-            "spec 'mode' must be balls|messages|two-phase");
-      }
+      spec.mode = choice(key, value, local::kExecModeNames);
     } else {
       throw std::runtime_error("unknown spec key '" + key + "'");
     }
   }
-  return spec;
 }
 
 ScenarioSpec cache_normal_form(const ScenarioSpec& spec) {

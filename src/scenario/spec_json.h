@@ -40,6 +40,17 @@ struct Json {
   static constexpr int kMaxDepth = 128;
 
   static Json parse(const std::string& text);
+  /// An empty value of the given kind.
+  static Json of(Kind kind) {
+    Json json;
+    json.kind = kind;
+    return json;
+  }
+
+  /// Serializes on one line (the daemon's wire form): integers that
+  /// parsed exactly print exactly, other numbers round-trip at 17
+  /// significant digits.
+  std::string dump() const;
 
   bool has(const std::string& key) const;
   /// Member access (requires kObject and key present).
@@ -54,27 +65,31 @@ struct Json {
   const Object& as_object() const;
 };
 
-/// Parses a ScenarioSpec from its JSON form:
+/// Reads the spec fields of a JSON object into `spec` — the one reader
+/// behind spec files, cache entries, daemon requests and the CLIs' spec
+/// flags (scenario/spec_flags.h):
 ///
 ///   {"name": "...", "doc": "...",
 ///    "topology": "...", "language": "...",
 ///    "construction": "...", "decider": "...",
 ///    "params": {"colors": 3},
-///    "workload": "success" | "value" | "counter",
+///    "fault": "drop", "fault-params": {"p-loss": 0.1},
+///    "workload": "success",            // local::kWorkloadNames
 ///    "statistic": "rounds",            // value/counter workloads only
 ///    "n": [16, 64], "trials": 2000, "seed": 1,
-///    "success": "accept" | "reject",
-///    "mode": "balls" | "messages" | "two-phase",
-///    "backend": "auto" | "naive" | "batched" | "vectorized",
-///    "execution": "auto" | "materialized" | "implicit"}
+///    "success": "accept",              // or "reject"
+///    "mode": "balls",                  // local::kExecModeNames
+///    "backend": "auto",                // local::kBackendNames
+///    "execution": "auto"}              // kExecutionNames
 ///
-/// Unknown top-level keys are rejected. Does NOT validate against the
+/// Only the fields present change: `n` replaces the grid, `params` and
+/// `fault-params` merge into the existing maps. Unknown keys are
+/// rejected (std::runtime_error). Does NOT validate against the
 /// registries — call scenario::validate on the result.
-ScenarioSpec spec_from_json(const std::string& text);
+void apply_spec_fields(const Json& fields, ScenarioSpec& spec);
 
-/// Same, from an already-parsed JSON object — used where a spec is
-/// embedded inside a larger document (cache entry files, serve
-/// requests).
+/// apply_spec_fields on a default spec.
+ScenarioSpec spec_from_json(const std::string& text);
 ScenarioSpec spec_from_json(const Json& root);
 
 /// The spec with every field that does not affect WHICH curve is being

@@ -583,8 +583,8 @@ SweepResult sweep_from_json(const Json& root,
     const std::optional<local::WorkloadKind> kind =
         local::workload_from_string(workload);
     if (!kind) {
-      throw std::runtime_error("shard file 'workload' must be "
-                               "success|value|counter, got '" +
+      throw std::runtime_error("shard file 'workload' must be " +
+                               local::kWorkloadNames.choices() + ", got '" +
                                workload + "'");
     }
     result.workload = *kind;
@@ -595,9 +595,9 @@ SweepResult sweep_from_json(const Json& root,
     const std::optional<local::OptimizationConfig::Backend> parsed =
         local::backend_from_string(backend);
     if (!parsed) {
-      throw std::runtime_error(
-          "shard file 'backend' must be auto|naive|batched|vectorized, "
-          "got '" + backend + "'");
+      throw std::runtime_error("shard file 'backend' must be " +
+                               local::kBackendNames.choices() + ", got '" +
+                               backend + "'");
     }
     result.backend = *parsed;
   }

@@ -16,9 +16,10 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "scenario/presets.h"
+#include "scenario/spec_flags.h"
 #include "scenario/spec_json.h"
 #include "util/build_info.h"
 #include "util/string_util.h"
@@ -44,52 +45,13 @@ std::string string_array_json(const std::vector<std::string>& items) {
   return out;
 }
 
-scenario::ScenarioSpec spec_from_request(const scenario::Json& root) {
-  if (root.has("scenario") == root.has("spec")) {
-    throw std::runtime_error(
-        "request must carry exactly one of 'scenario' (preset name) or "
-        "'spec' (spec object)");
-  }
-  scenario::ScenarioSpec spec;
-  if (root.has("scenario")) {
-    const std::string& name = root.at("scenario").as_string();
-    const scenario::ScenarioSpec* preset = scenario::find_preset(name);
-    if (preset == nullptr) {
-      throw std::runtime_error("unknown scenario '" + name + "'");
-    }
-    spec = *preset;
-  } else {
-    spec = scenario::spec_from_json(root.at("spec"));
-  }
-  for (const auto& [key, value] : root.as_object()) {
-    if (key == "scenario" || key == "spec") continue;
-    if (key == "trials") {
-      spec.trials = value.as_uint64();
-    } else if (key == "seed") {
-      spec.base_seed = value.as_uint64();
-    } else if (key == "n") {
-      spec.n_grid.clear();
-      for (const scenario::Json& n : value.as_array()) {
-        spec.n_grid.push_back(n.as_uint64());
-      }
-    } else if (key == "params") {
-      for (const auto& [param, number] : value.as_object()) {
-        spec.params[param] = number.as_number();
-      }
-    } else {
-      throw std::runtime_error("unknown request key '" + key + "'");
-    }
-  }
-  return spec;
-}
-
 }  // namespace
 
 std::string handle_request_line(SweepService& service,
                                 const std::string& line) {
   QueryOutcome outcome;
   try {
-    const scenario::Json root = scenario::Json::parse(line);
+    scenario::Json root = scenario::Json::parse(line);
     // Introspection op, dispatched BEFORE the spec path (which rejects
     // unknown keys): {"op": "stats"} returns the daemon's monotonic
     // query totals plus its latency-metric registry, and runs no trials.
@@ -116,7 +78,7 @@ std::string handle_request_line(SweepService& service,
          << util::json_escape(util::build_rev()) << "\"}}\n";
       return os.str();
     }
-    outcome = service.query(spec_from_request(root));
+    outcome = service.query(scenario::spec_from_request(std::move(root)));
   } catch (const std::exception& ex) {
     return error_response(ex.what());
   }

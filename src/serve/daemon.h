@@ -5,7 +5,9 @@
 // Request (unknown keys rejected; exactly one of scenario/spec):
 //   {"scenario": "<preset name>" | "spec": {<scenario spec object>},
 //    "trials": T, "seed": S, "n": [16, 64], "params": {"colors": 3}}
-// trials/seed/n/params override the named preset or embedded spec.
+// Every key besides scenario/spec is a spec field in the spec-file form
+// (scenario::apply_spec_fields — "fault", "backend", ... too) applied on
+// top of the named preset or embedded spec (scenario::spec_from_request).
 //
 // Introspection (runs no trials):
 //   {"op": "stats"}

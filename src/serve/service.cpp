@@ -5,6 +5,7 @@
 
 #include "serve/cache_key.h"
 #include "util/assert.h"
+#include "util/build_info.h"
 #include "util/timer.h"
 
 namespace lnc::serve {
@@ -42,6 +43,59 @@ obs::MetricsRegistry SweepService::metrics_snapshot() const {
   return metrics_;
 }
 
+CacheDecision decide_query(const ResultStore& store,
+                           const scenario::ScenarioSpec& spec,
+                           const CacheKey& key) {
+  CacheDecision out;
+  std::string diagnostic;
+  out.entry = store.lookup(key, &diagnostic);
+  if (!out.entry) {
+    if (diagnostic != "no entry") out.notes.push_back("cache: " + diagnostic);
+    out.run_spec = spec;
+    out.trials_computed = spec.trials;
+    return out;
+  }
+  const std::uint64_t cached = out.entry->spec.trials;
+  out.run_spec = out.entry->spec;
+  out.trials_reused = cached;
+  if (cached >= spec.trials) {
+    // Hit — possibly a superset of what was asked; aggregates cannot
+    // surrender a prefix, and more trials only tighten the estimate.
+    out.outcome = CacheOutcome::kHit;
+    if (cached > spec.trials) {
+      out.notes.push_back("serving the cached " + std::to_string(cached) +
+                          "-trial result, a superset of the requested " +
+                          std::to_string(spec.trials) +
+                          " (aggregates cannot be narrowed)");
+    }
+  } else {
+    // Top-up: per-trial streams depend only on the trial index, so
+    // [T', T) under the entry's spec merged behind the cached prefix
+    // equals a cold run at T bit for bit.
+    out.outcome = CacheOutcome::kTopUp;
+    out.run_spec.trials = spec.trials;
+    out.trials_computed = spec.trials - cached;
+  }
+  if (out.run_spec.base_seed != spec.base_seed) {
+    out.notes.push_back(
+        "served from the entry's canonical seed " +
+        std::to_string(out.run_spec.base_seed) + " (query asked for seed " +
+        std::to_string(spec.base_seed) +
+        "; the cache key deliberately excludes the seed)");
+  }
+  return out;
+}
+
+std::string cache_line(const std::string& scenario, CacheOutcome outcome,
+                       std::uint64_t trials_reused,
+                       std::uint64_t trials_computed, const CacheKey& key) {
+  return "cache[" + scenario + "]: outcome=" + to_string(outcome) +
+         " trials_reused=" + std::to_string(trials_reused) +
+         " trials_computed=" + std::to_string(trials_computed) +
+         " key=" + key.substr(0, 16) +
+         " epoch=" + std::to_string(util::seed_stream_epoch());
+}
+
 QueryOutcome SweepService::query(const scenario::ScenarioSpec& spec) {
   const std::string invalid = scenario::validate(spec);
   if (!invalid.empty()) {
@@ -56,68 +110,37 @@ QueryOutcome SweepService::query(const scenario::ScenarioSpec& spec) {
   // becomes a hit instead of repeating the computation.
   std::lock_guard<std::mutex> key_guard(key_mutex(out.key));
 
-  std::string diagnostic;
   const util::Timer lookup_timer;
-  std::optional<CacheEntry> entry = store_.lookup(out.key, &diagnostic);
+  CacheDecision decision = decide_query(store_, spec, out.key);
   const double lookup_seconds = lookup_timer.elapsed_seconds();
-  if (!entry && diagnostic != "no entry") {
-    out.notes.push_back("cache: " + diagnostic);
-  }
-
-  if (entry && entry->spec.trials >= spec.trials) {
-    // Hit — possibly a superset of what was asked; aggregates cannot
-    // surrender a prefix, and more trials only tighten the estimate.
-    out.outcome = CacheOutcome::kHit;
-    out.trials_reused = entry->spec.trials;
-    out.result = entry->result;
-    out.served_seed = entry->spec.base_seed;
-  } else if (entry) {
-    // Top-up: run exactly the missing [T', T) under the ENTRY's spec
-    // (its seed is canonical for this key) and merge into the cached
-    // accumulators. Per-trial streams depend only on the trial index,
-    // so the merge equals a cold run at T bit for bit.
-    scenario::ScenarioSpec run_spec = entry->spec;
-    run_spec.trials = spec.trials;
-    scenario::SweepOptions sweep_options;
-    sweep_options.trial_range =
-        local::TrialRange{entry->spec.trials, spec.trials};
-    sweep_options.pool = pool_ ? &*pool_ : nullptr;
-    const scenario::SweepResult delta =
-        scenario::run_sweep(scenario::compile(run_spec), sweep_options);
-    const scenario::SweepResult parts[] = {entry->result, delta};
-    out.outcome = CacheOutcome::kTopUp;
-    out.trials_reused = entry->spec.trials;
-    out.trials_computed = spec.trials - entry->spec.trials;
-    out.result = scenario::merge_trial_ranges(parts);
-    out.served_seed = run_spec.base_seed;
-    const std::string store_error =
-        store_.store({out.key, 0, {}, run_spec, out.result});
-    if (!store_error.empty()) {
-      out.notes.push_back("cache write-back failed: " + store_error);
-    }
-  } else {
-    // Miss: cold run. The query's own spec (and seed) becomes the
-    // entry's canonical form for this key.
-    scenario::SweepOptions sweep_options;
-    sweep_options.pool = pool_ ? &*pool_ : nullptr;
-    out.outcome = CacheOutcome::kMiss;
-    out.trials_computed = spec.trials;
-    out.result = scenario::run_sweep(scenario::compile(spec), sweep_options);
-    out.served_seed = spec.base_seed;
-    const std::string store_error =
-        store_.store({out.key, 0, {}, spec, out.result});
-    if (!store_error.empty()) {
-      out.notes.push_back("cache write-back failed: " + store_error);
-    }
-  }
-
+  out.outcome = decision.outcome;
+  out.trials_reused = decision.trials_reused;
+  out.trials_computed = decision.trials_computed;
+  out.served_seed = decision.run_spec.base_seed;
   out.seed_differs = out.served_seed != spec.base_seed;
-  if (out.seed_differs) {
-    out.notes.push_back(
-        "served from the entry's canonical seed " +
-        std::to_string(out.served_seed) + " (query asked for seed " +
-        std::to_string(spec.base_seed) +
-        "; the cache key deliberately excludes the seed)");
+  out.notes = std::move(decision.notes);
+
+  if (decision.outcome == CacheOutcome::kHit) {
+    out.result = std::move(decision.entry->result);
+  } else {
+    scenario::SweepOptions sweep_options;
+    sweep_options.pool = pool_ ? &*pool_ : nullptr;
+    if (decision.entry) {
+      sweep_options.trial_range =
+          local::TrialRange{decision.trials_reused, decision.run_spec.trials};
+    }
+    out.result = scenario::run_sweep(scenario::compile(decision.run_spec),
+                                     sweep_options);
+    if (decision.entry) {
+      const scenario::SweepResult parts[] = {std::move(decision.entry->result),
+                                             std::move(out.result)};
+      out.result = scenario::merge_trial_ranges(parts);
+    }
+    const std::string store_error =
+        store_.store({out.key, 0, {}, decision.run_spec, out.result});
+    if (!store_error.empty()) {
+      out.notes.push_back("cache write-back failed: " + store_error);
+    }
   }
 
   {

@@ -36,6 +36,40 @@ namespace lnc::serve {
 enum class CacheOutcome { kMiss, kHit, kTopUp };
 const char* to_string(CacheOutcome outcome) noexcept;
 
+/// The hit/top-up/miss decision for one query — the one place the rule
+/// lives (SweepService::query and lnc_launch --cache both act on it).
+struct CacheDecision {
+  CacheOutcome outcome = CacheOutcome::kMiss;
+  /// The stored entry: the served result of a hit, the cached prefix of
+  /// a top-up; absent on a miss.
+  std::optional<CacheEntry> entry;
+  /// The spec the served result is computed under, at the query's
+  /// trials: the entry's spec for a hit or top-up (its seed is
+  /// canonical for the key), the query's own spec for a miss.
+  scenario::ScenarioSpec run_spec;
+  std::uint64_t trials_reused = 0;
+  /// The trials still to run: [trials_reused, trials_reused + computed).
+  std::uint64_t trials_computed = 0;
+  /// Store diagnostics, a superset hit, a seed the entry overrides.
+  std::vector<std::string> notes;
+};
+
+/// Looks `key` (= cache_key(spec)) up in `store` and decides:
+///   an entry covering >= spec.trials  -> hit, nothing runs;
+///   an entry covering T' < spec.trials -> top up [T', T) under the
+///                                         entry's spec;
+///   no usable entry                    -> miss, [0, T) runs cold.
+CacheDecision decide_query(const ResultStore& store,
+                           const scenario::ScenarioSpec& spec,
+                           const CacheKey& key);
+
+/// The grep-stable line every cache decision prints:
+///   cache[name]: outcome=topup trials_reused=30 trials_computed=30
+///   key=<first 16 hex digits> epoch=E
+std::string cache_line(const std::string& scenario, CacheOutcome outcome,
+                       std::uint64_t trials_reused,
+                       std::uint64_t trials_computed, const CacheKey& key);
+
 struct ServiceOptions {
   /// Worker threads per computed sweep: 0 = hardware concurrency,
   /// 1 = sequential in the calling thread.

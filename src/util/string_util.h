@@ -1,10 +1,12 @@
 // String helpers used by graph IO and table emission.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace lnc::util {
@@ -42,5 +44,33 @@ bool starts_with(std::string_view text, std::string_view prefix) noexcept;
 /// backslashes, control characters). Shared by util::Table::print_json and
 /// the scenario sweep emitters.
 std::string json_escape(std::string_view text);
+
+/// An enum's wire names: the one table its to_string, its parser, and
+/// the "a|b|c" choice lists of usage text and errors all read.
+template <class Enum, std::size_t N>
+struct EnumNames {
+  std::array<std::pair<Enum, const char*>, N> entries;
+
+  const char* name(Enum value) const noexcept {
+    for (const auto& [entry, text] : entries) {
+      if (entry == value) return text;
+    }
+    return "?";
+  }
+  std::optional<Enum> parse(std::string_view text) const noexcept {
+    for (const auto& [entry, name] : entries) {
+      if (text == name) return entry;
+    }
+    return std::nullopt;
+  }
+  std::string choices() const {
+    std::string out;
+    for (const auto& [entry, text] : entries) {
+      if (!out.empty()) out += '|';
+      out += text;
+    }
+    return out;
+  }
+};
 
 }  // namespace lnc::util

@@ -8,12 +8,13 @@
 // and deterministic telemetry counters are bit-identical — the same
 // merge contract `lnc_sweep --merge` obeys).
 //
-//   lnc_launch --scenario NAME --shards K [options] [overrides]
-//   lnc_launch --spec FILE.json --shards K [options] [overrides]
-//       Plan a fresh run directory and execute it.
+//   lnc_launch [spec flags] --shards K [options]
+//       Plan a fresh run directory for the spec (a preset, a spec file,
+//       or an ad hoc spec — the spec flags lnc_sweep and lnc_serve
+//       --query share, scenario/spec_flags.h) and execute it.
 //   lnc_launch --resume DIR [options]
 //       Re-run only the missing/failed shards of an interrupted run,
-//       then merge.
+//       then merge. The spec is frozen in DIR: no spec flag applies.
 //
 // Options:
 //   --run-dir DIR        run directory (default lnc-run-<scenario>)
@@ -55,18 +56,11 @@
 //   --inject-fail S[:T]  TEST HOOK: fail shard S's first T attempts
 //                        (default 1) before reaching the transport — CI
 //                        exercises the retry path with this.
-// Overrides (new runs only; the spec is frozen into the run directory):
-//   --param k=v | --n A,B,C | --trials N | --seed S
-//   --workload success|value|counter | --statistic NAME
-//   --success accept|reject | --mode balls|messages|two-phase
-//   --backend auto|naive|batched|vectorized
-//   --execution auto|materialized|implicit
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -75,12 +69,13 @@
 #include "orchestrate/manifest.h"
 #include "orchestrate/supervisor.h"
 #include "orchestrate/transport.h"
-#include "scenario/presets.h"
 #include "scenario/scenario.h"
+#include "scenario/spec_flags.h"
 #include "scenario/spec_json.h"
 #include "scenario/sweep.h"
 #include "serve/cache_key.h"
 #include "serve/result_store.h"
+#include "serve/service.h"
 #include "util/build_info.h"
 #include "util/file_util.h"
 #include "util/string_util.h"
@@ -90,8 +85,7 @@ namespace {
 using namespace lnc;
 
 int usage(std::ostream& os, int code) {
-  os << "usage: lnc_launch --scenario NAME --shards K [options]\n"
-        "       lnc_launch --spec FILE.json --shards K [options]\n"
+  os << "usage: lnc_launch [spec flags] --shards K [options]\n"
         "       lnc_launch --resume DIR [options]\n"
         "options: --run-dir DIR | --transport local|ssh\n"
         "         --ssh-template 'ssh worker{shard} {cmd}'\n"
@@ -105,14 +99,8 @@ int usage(std::ostream& os, int code) {
         "                        a cached prefix tops up only the missing\n"
         "                        trials; merged results are written back)\n"
         "         --inject-fail SHARD[:TIMES]   (test hook)\n"
-        "overrides (new runs): --param k=v | --n A,B,C | --trials N\n"
-        "         --seed S | --workload success|value|counter\n"
-        "         --statistic NAME | --success accept|reject\n"
-        "         --mode balls|messages|two-phase\n"
-        "         --backend auto|naive|batched|vectorized\n"
-        "         --execution auto|materialized|implicit\n"
-        "         --fault NAME | --fault-param k=v\n"
-        "The merged result is bit-identical to the unsharded lnc_sweep\n"
+     << scenario::spec_flags_usage()
+     << "The merged result is bit-identical to the unsharded lnc_sweep\n"
         "run; failed shards never reach the merge (faulty runs included:\n"
         "fault draws are keyed per trial, never per process).\n"
         "build identity: " << util::build_identity() << "\n";
@@ -120,8 +108,7 @@ int usage(std::ostream& os, int code) {
 }
 
 struct Options {
-  std::optional<std::string> scenario_name;
-  std::optional<std::string> spec_file;
+  scenario::SpecFlags spec;
   std::optional<std::string> resume_dir;
 
   unsigned shards = 0;
@@ -138,20 +125,6 @@ struct Options {
   std::optional<std::pair<unsigned, unsigned>> inject_fail;  // shard, times
   bool help = false;
   bool version = false;
-
-  // Spec overrides (new runs only).
-  scenario::ParamMap params;
-  std::optional<std::vector<std::uint64_t>> n_grid;
-  std::optional<std::uint64_t> trials;
-  std::optional<std::uint64_t> seed;
-  std::optional<bool> success_on_accept;
-  std::optional<local::ExecMode> mode;
-  std::optional<local::WorkloadKind> workload;
-  std::optional<std::string> statistic;
-  std::optional<local::OptimizationConfig::Backend> backend;
-  std::optional<scenario::Execution> execution;
-  std::optional<std::string> fault;
-  scenario::ParamMap fault_params;
 };
 
 /// Strict flag parses (util::parse_uint / parse_nonnegative_double) —
@@ -159,109 +132,77 @@ struct Options {
 /// manifest, and `--timeout 5m` must not silently become 5 seconds.
 unsigned parse_unsigned(const std::string& text, const std::string& flag) {
   const std::optional<std::uint64_t> value = util::parse_uint(text);
-  if (!value) {
-    throw std::runtime_error(flag + " expects a non-negative integer, "
-                             "got '" + text + "'");
-  }
-  if (*value > 1000000) {
-    throw std::runtime_error(flag + " value " + text +
-                             " is implausibly large");
+  if (!value || *value > 1000000) {
+    throw std::runtime_error(flag + " expects a non-negative integer "
+                             "(<= 1000000), got '" + text + "'");
   }
   return static_cast<unsigned>(*value);
 }
 
-double parse_seconds(const std::string& text, const std::string& flag) {
+double seconds_value(scenario::ArgCursor& args) {
+  const std::string text = args.value();
   const std::optional<double> value = util::parse_nonnegative_double(text);
   if (!value) {
-    throw std::runtime_error(flag + " expects a non-negative number, "
+    throw std::runtime_error(args.flag() + " expects a non-negative number, "
                              "got '" + text + "'");
   }
   return *value;
 }
 
-bool parse_args(int argc, char** argv, Options& options, std::string& error) {
-  auto next_value = [&](int& i, const std::string& flag) -> const char* {
-    if (i + 1 >= argc) {
-      error = flag + " needs a value";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = nullptr;
-    if (arg == "--scenario") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.scenario_name = value;
-    } else if (arg == "--spec") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.spec_file = value;
-    } else if (arg == "--resume") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.resume_dir = value;
+/// Throws std::runtime_error on a usage error.
+Options parse_args(int argc, char** argv) {
+  Options options;
+  scenario::ArgCursor args(argc, argv);
+  while (args.next()) {
+    const std::string arg = args.flag();
+    if (options.spec.parse(args)) continue;
+    if (arg == "--resume") {
+      options.resume_dir = args.value();
     } else if (arg == "--shards") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.shards = parse_unsigned(value, arg);
+      options.shards = parse_unsigned(args.value(), arg);
       if (options.shards == 0) {
-        error = "--shards needs a positive shard count";
-        return false;
+        throw std::runtime_error("--shards needs a positive shard count");
       }
     } else if (arg == "--run-dir") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.run_dir = value;
+      options.run_dir = args.value();
     } else if (arg == "--transport") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.transport = value;
+      options.transport = args.value();
       if (options.transport != "local" && options.transport != "ssh") {
-        error = "--transport expects local|ssh";
-        return false;
+        throw std::runtime_error("--transport expects local|ssh");
       }
     } else if (arg == "--ssh-template") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.ssh_template = value;
+      options.ssh_template = args.value();
     } else if (arg == "--remote-sweep") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.remote_sweep = value;
+      options.remote_sweep = args.value();
     } else if (arg == "--sweep-bin") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.sweep_bin = value;
+      options.sweep_bin = args.value();
     } else if (arg == "--sweep-threads") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.sweep_threads = parse_unsigned(value, arg);
+      options.sweep_threads = parse_unsigned(args.value(), arg);
     } else if (arg == "--jobs") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.supervisor.max_parallel = parse_unsigned(value, arg);
+      options.supervisor.max_parallel = parse_unsigned(args.value(), arg);
     } else if (arg == "--timeout") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.supervisor.timeout_seconds = parse_seconds(value, arg);
+      options.supervisor.timeout_seconds = seconds_value(args);
     } else if (arg == "--retries") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.supervisor.max_attempts = parse_unsigned(value, arg);
+      options.supervisor.max_attempts = parse_unsigned(args.value(), arg);
       if (options.supervisor.max_attempts == 0) {
-        error = "--retries needs at least one attempt";
-        return false;
+        throw std::runtime_error("--retries needs at least one attempt");
       }
     } else if (arg == "--backoff-ms") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.supervisor.backoff_ms = parse_seconds(value, arg);
+      options.supervisor.backoff_ms = seconds_value(args);
     } else if (arg == "--out") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.out_file = value;
+      options.out_file = args.value();
     } else if (arg == "--trace") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.trace_file = value;
+      options.trace_file = args.value();
     } else if (arg == "--progress") {
       options.supervisor.progress = true;
     } else if (arg == "--cache") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.cache_dir = value;
+      options.cache_dir = args.value();
     } else if (arg == "--help") {
       options.help = true;
     } else if (arg == "--version") {
       options.version = true;
     } else if (arg == "--inject-fail") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
+      const std::string text = args.value();
       const std::size_t colon = text.find(':');
       const unsigned shard = parse_unsigned(text.substr(0, colon), arg);
       const unsigned times =
@@ -269,149 +210,29 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
               ? 1
               : parse_unsigned(text.substr(colon + 1), arg);
       options.inject_fail = {shard, times};
-    } else if (arg == "--param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.params[text.substr(0, eq)] = *param_value;
-    } else if (arg == "--n") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      std::vector<std::uint64_t> grid;
-      for (const std::string& part : util::split(value, ',')) {
-        const std::optional<std::uint64_t> n = util::parse_uint(part);
-        if (!n) {
-          error = "--n expects non-negative integers, got '" + part + "'";
-          return false;
-        }
-        grid.push_back(*n);
-      }
-      options.n_grid = std::move(grid);
-    } else if (arg == "--trials") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> trials = util::parse_uint(value);
-      if (!trials) {
-        error = std::string("--trials expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.trials = *trials;
-    } else if (arg == "--seed") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> seed = util::parse_uint(value);
-      if (!seed) {
-        error = std::string("--seed expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.seed = *seed;
-    } else if (arg == "--workload") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<local::WorkloadKind> kind =
-          local::workload_from_string(value);
-      if (!kind) {
-        error = "--workload expects success|value|counter";
-        return false;
-      }
-      options.workload = *kind;
-    } else if (arg == "--statistic") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.statistic = value;
-    } else if (arg == "--success") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string side = value;
-      if (side != "accept" && side != "reject") {
-        error = "--success expects accept|reject";
-        return false;
-      }
-      options.success_on_accept = side == "accept";
-    } else if (arg == "--mode") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string mode = value;
-      if (mode == "balls") {
-        options.mode = local::ExecMode::kBalls;
-      } else if (mode == "messages") {
-        options.mode = local::ExecMode::kMessages;
-      } else if (mode == "two-phase") {
-        options.mode = local::ExecMode::kTwoPhase;
-      } else {
-        error = "--mode expects balls|messages|two-phase";
-        return false;
-      }
-    } else if (arg == "--backend") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<local::OptimizationConfig::Backend> backend =
-          local::backend_from_string(value);
-      if (!backend) {
-        error = std::string("--backend expects "
-                            "auto|naive|batched|vectorized, got '") +
-                value + "'";
-        return false;
-      }
-      options.backend = *backend;
-    } else if (arg == "--execution") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<scenario::Execution> execution =
-          scenario::execution_from_string(value);
-      if (!execution) {
-        error = std::string("--execution expects "
-                            "auto|materialized|implicit, got '") +
-                value + "'";
-        return false;
-      }
-      options.execution = *execution;
-    } else if (arg == "--fault") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.fault = value;
-    } else if (arg == "--fault-param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--fault-param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--fault-param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.fault_params[text.substr(0, eq)] = *param_value;
     } else {
-      error = "unknown flag '" + arg + "'";
-      return false;
+      throw std::runtime_error("unknown flag '" + arg + "'");
     }
   }
-  return true;
-}
-
-void apply_overrides(const Options& options, scenario::ScenarioSpec& spec) {
-  for (const auto& [key, value] : options.params) spec.params[key] = value;
-  if (options.n_grid) spec.n_grid = *options.n_grid;
-  if (options.trials) spec.trials = *options.trials;
-  if (options.seed) spec.base_seed = *options.seed;
-  if (options.success_on_accept) {
-    spec.success_on_accept = *options.success_on_accept;
+  if (options.resume_dir) {
+    // The spec is frozen in the run directory; accepting spec flags here
+    // would silently run different parameters than reported.
+    const std::string conflict =
+        options.spec.given() ? options.spec.first_flag
+        : options.shards != 0 ? "--shards"
+        : options.run_dir     ? "--run-dir"
+                              : "";
+    if (!conflict.empty()) {
+      throw std::runtime_error(
+          "--resume and " + conflict + " cannot be combined: --resume "
+          "re-runs the FROZEN spec in its existing directory — plan a new "
+          "run directory instead");
+    }
+  } else if (!options.spec.given() && !options.help && !options.version) {
+    throw std::runtime_error("give a spec (--scenario, --spec, or ad hoc "
+                             "component flags) or --resume DIR");
   }
-  if (options.mode) spec.mode = *options.mode;
-  if (options.workload) spec.workload = *options.workload;
-  if (options.statistic) spec.statistic = *options.statistic;
-  if (options.backend) spec.backend = *options.backend;
-  if (options.execution) spec.execution = *options.execution;
-  if (options.fault) spec.fault = *options.fault;
-  for (const auto& [key, value] : options.fault_params) {
-    spec.fault_params[key] = value;
-  }
+  return options;
 }
 
 /// The lnc_sweep next to this binary — shards run the same build by
@@ -481,18 +302,6 @@ int report_outcome(const orchestrate::RunManifest& manifest,
   return 0;
 }
 
-/// The same grep-stable decision line lnc_sweep --cache prints, so CI
-/// and humans can watch cache behaviour identically across both CLIs:
-///   cache[name]: outcome=topup trials_reused=30 trials_computed=30 ...
-void print_cache_line(const std::string& scenario, const char* outcome,
-                      std::uint64_t reused, std::uint64_t computed,
-                      const serve::CacheKey& key) {
-  std::cout << "cache[" << scenario << "]: outcome=" << outcome
-            << " trials_reused=" << reused << " trials_computed="
-            << computed << " key=" << key.substr(0, 16)
-            << " epoch=" << util::seed_stream_epoch() << "\n";
-}
-
 /// Serves a cache hit: same report shape as a merged run, but no fleet
 /// ever launches and no run directory is created.
 int report_cached(const serve::CacheEntry& entry, const Options& options) {
@@ -543,14 +352,10 @@ void write_back(const serve::ResultStore& store,
 
 int main(int argc, char** argv) {
   Options options;
-  std::string error;
   try {
-    if (!parse_args(argc, argv, options, error)) {
-      std::cerr << error << "\n";
-      return usage(std::cerr, 2);
-    }
+    options = parse_args(argc, argv);
   } catch (const std::exception& ex) {
-    std::cerr << "bad flag value: " << ex.what() << "\n";
+    std::cerr << ex.what() << "\n";
     return usage(std::cerr, 2);
   }
   if (options.help) return usage(std::cout, 0);
@@ -559,14 +364,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int mode_count = (options.scenario_name ? 1 : 0) +
-                         (options.spec_file ? 1 : 0) +
-                         (options.resume_dir ? 1 : 0);
-  if (mode_count != 1) {
-    std::cerr << "pick exactly one of --scenario, --spec, --resume\n";
-    return usage(std::cerr, 2);
-  }
-
+  std::string error;
   std::unique_ptr<orchestrate::Transport> transport =
       make_transport(options, argv[0], error);
   if (transport == nullptr) {
@@ -598,21 +396,6 @@ int main(int argc, char** argv) {
 
     orchestrate::RunManifest manifest;
     if (options.resume_dir) {
-      // The spec is frozen in the run directory; accepting overrides
-      // here would silently run different parameters than reported.
-      const bool has_overrides =
-          !options.params.empty() || options.n_grid || options.trials ||
-          options.seed || options.success_on_accept || options.mode ||
-          options.workload || options.statistic || options.backend ||
-          options.execution || options.fault || !options.fault_params.empty() ||
-          options.shards != 0 || options.run_dir.has_value();
-      if (has_overrides) {
-        std::cerr << "--resume re-runs the FROZEN spec in its existing "
-                     "directory; --run-dir and spec overrides "
-                     "(--param/--n/--trials/--seed/--shards/...) cannot "
-                     "change it — plan a new run directory instead\n";
-        return usage(std::cerr, 2);
-      }
       manifest = orchestrate::load_manifest(
           std::filesystem::absolute(*options.resume_dir).string());
       std::cerr << "resuming '" << manifest.scenario << "' in "
@@ -629,30 +412,16 @@ int main(int argc, char** argv) {
         cache_spec = scenario::spec_from_json(text);
       }
     } else {
-      scenario::ScenarioSpec spec;
-      if (options.scenario_name) {
-        const scenario::ScenarioSpec* preset =
-            scenario::find_preset(*options.scenario_name);
-        if (preset == nullptr) {
-          std::cerr << "unknown scenario '" << *options.scenario_name
-                    << "' (see lnc_sweep --list)\n";
-          return 1;
-        }
-        spec = *preset;
-      } else {
-        std::string text;
-        const std::string read_error =
-            util::read_file(*options.spec_file, text);
-        if (!read_error.empty()) {
-          std::cerr << read_error << "\n";
-          return 1;
-        }
-        spec = scenario::spec_from_json(text);
-      }
-      apply_overrides(options, spec);
+      const scenario::ScenarioSpec spec = options.spec.resolve();
       if (options.shards == 0) {
         std::cerr << "--shards is required for a new run\n";
         return usage(std::cerr, 2);
+      }
+      const std::string invalid = scenario::validate(spec);
+      if (!invalid.empty()) {
+        std::cerr << "invalid scenario '" << spec.name << "': " << invalid
+                  << "\n";
+        return 1;
       }
       // Absolute, so the ShardJob paths handed to transports really are
       // absolute as documented — an ssh shard must not resolve a
@@ -673,64 +442,42 @@ int main(int argc, char** argv) {
         orchestrate::render_template(*options.ssh_template,
                                      options.remote_sweep, probe);
       }
-      std::optional<serve::CacheEntry> entry;
-      serve::CacheKey key;
+      serve::CacheDecision decision;
       if (store) {
-        key = serve::cache_key(spec);
-        std::string diagnostic;
-        entry = store->lookup(key, &diagnostic);
-        if (!entry && diagnostic != "no entry") {
-          std::cerr << "note: cache: " << diagnostic << "\n";
+        const serve::CacheKey key = serve::cache_key(spec);
+        decision = serve::decide_query(*store, spec, key);
+        std::cout << serve::cache_line(spec.name, decision.outcome,
+                                       decision.trials_reused,
+                                       decision.trials_computed, key)
+                  << "\n";
+        for (const std::string& note : decision.notes) {
+          std::cerr << "note: " << note << "\n";
         }
+        cache_spec = decision.run_spec;
       }
-      if (entry && entry->spec.trials >= spec.trials) {
-        // Hit: the store already covers the request — serve it, no fleet.
-        print_cache_line(spec.name, "hit", entry->spec.trials, 0, key);
-        if (entry->spec.trials > spec.trials) {
-          std::cerr << "note: serving the cached " << entry->spec.trials
-                    << "-trial result, a superset of the requested "
-                    << spec.trials << " (aggregates cannot be narrowed)\n";
-        }
-        if (entry->spec.base_seed != spec.base_seed) {
-          std::cerr << "note: served under the entry's canonical seed "
-                    << entry->spec.base_seed << ", not the requested "
-                    << spec.base_seed << " (the key excludes the seed; "
-                    << "the first writer's seed is canonical)\n";
-        }
-        return report_cached(*entry, options);
+      if (decision.outcome == serve::CacheOutcome::kHit) {
+        // The store already covers the request — serve it, no fleet.
+        return report_cached(*decision.entry, options);
       }
-      if (entry) {
-        // Top-up: the fleet computes only [cached, requested) of the
-        // entry's spec (its seed is canonical) and the merge folds the
-        // cached prefix in front — bit-identical to a cold fleet run.
-        scenario::ScenarioSpec run_spec = entry->spec;
-        run_spec.trials = spec.trials;
-        if (entry->spec.base_seed != spec.base_seed) {
-          std::cerr << "note: topping up under the entry's canonical seed "
-                    << entry->spec.base_seed << ", not the requested "
-                    << spec.base_seed << "\n";
-        }
+      if (decision.outcome == serve::CacheOutcome::kTopUp) {
+        // The fleet computes only the missing range of the entry's spec
+        // and the merge folds the cached prefix in front — bit-identical
+        // to a cold fleet run.
         unsigned shards = options.shards;
-        const std::uint64_t width = spec.trials - entry->spec.trials;
-        if (shards > width) {
-          shards = static_cast<unsigned>(width);
-          std::cerr << "note: only " << width << " trial(s) to top up — "
+        if (shards > decision.trials_computed) {
+          shards = static_cast<unsigned>(decision.trials_computed);
+          std::cerr << "note: only " << shards << " trial(s) to top up — "
                     << "using " << shards << " shard(s) instead of "
                     << options.shards << "\n";
         }
-        print_cache_line(spec.name, "topup", entry->spec.trials, width,
-                         key);
-        manifest = orchestrate::plan_topup_run(run_spec, run_dir, shards,
-                                               entry->result);
-        cache_spec = run_spec;
+        manifest = orchestrate::plan_topup_run(
+            decision.run_spec, run_dir, shards, decision.entry->result);
         std::cerr << "planned " << shards << " top-up shard(s) of '"
                   << spec.name << "' (trials [" << manifest.trial_begin
                   << ", " << manifest.trial_end << ")) in " << run_dir
                   << "\n";
       } else {
-        if (store) print_cache_line(spec.name, "miss", 0, spec.trials, key);
         manifest = orchestrate::plan_run(spec, run_dir, options.shards);
-        if (store) cache_spec = spec;
         std::cerr << "planned " << options.shards << " shard(s) of '"
                   << spec.name << "' in " << run_dir << "\n";
       }

@@ -10,15 +10,15 @@
 //       range and merges it exactly (see src/serve/daemon.h for the
 //       wire format).
 //
-//   lnc_serve --query --socket PATH|--tcp PORT --scenario NAME
-//             [--trials N] [--seed S] [--n A,B,C] [--param k=v]...
-//   lnc_serve --query ... --spec FILE.json
-//   lnc_serve --query ... --request '{"scenario": ...}'
-//       Client: build (or pass through) one request line, print the
-//       response JSON on stdout and a human-readable cache line on
-//       stderr. Exits nonzero when the daemon reports an error. The
-//       connect retries until --timeout seconds, so a script can start
-//       the daemon and query it with no sleep in between.
+//   lnc_serve --query (--socket PATH | --tcp PORT) [spec flags]
+//   lnc_serve --query (--socket PATH | --tcp PORT) --request JSONLINE
+//       Client: send the spec the spec flags name (the flags lnc_sweep
+//       and lnc_launch share, scenario/spec_flags.h) as one request line,
+//       or pass a raw line through; print the response JSON on stdout
+//       and a human-readable cache line on stderr. Exits nonzero when
+//       the daemon reports an error. The connect retries until --timeout
+//       seconds, so a script can start the daemon and query it with no
+//       sleep in between.
 //
 //   lnc_serve --query-stats (--socket PATH | --tcp PORT)
 //       Ask a running daemon for its monotonic query totals and latency
@@ -26,14 +26,12 @@
 //       response JSON on stdout, a one-line summary on stderr.
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <vector>
 
+#include "scenario/spec_flags.h"
 #include "scenario/spec_json.h"
 #include "serve/daemon.h"
 #include "util/build_info.h"
-#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace {
@@ -44,12 +42,11 @@ int usage(std::ostream& os, int code) {
   os << "usage: lnc_serve --socket PATH --cache DIR [--tcp PORT]\n"
         "                 [--threads N] [--max-requests N]\n"
         "       lnc_serve --query (--socket PATH | --tcp PORT)\n"
-        "                 (--scenario NAME | --spec FILE.json |\n"
-        "                  --request JSONLINE)\n"
-        "                 [--trials N] [--seed S] [--n A,B,C]\n"
-        "                 [--param k=v]... [--timeout SECONDS]\n"
+        "                 ([spec flags] | --request JSONLINE)\n"
+        "                 [--timeout SECONDS]\n"
         "       lnc_serve --query-stats (--socket PATH | --tcp PORT)\n"
-        "The daemon answers spec queries from a content-addressed cache\n"
+     << scenario::spec_flags_usage()
+     << "The daemon answers spec queries from a content-addressed cache\n"
         "of merged sweep results: repeated queries hit without running a\n"
         "single trial, and a raised trial count computes only the missing\n"
         "range — bit-identical to a cold run at the full count.\n"
@@ -67,28 +64,18 @@ struct Options {
   std::string cache_dir;
   unsigned threads = 0;
   std::uint64_t max_requests = 0;
-  // Client-side request assembly.
-  std::optional<std::string> scenario_name;
-  std::optional<std::string> spec_file;
+  scenario::SpecFlags spec;
   std::optional<std::string> raw_request;
-  std::optional<std::uint64_t> trials;
-  std::optional<std::uint64_t> seed;
-  std::optional<std::vector<std::uint64_t>> n_grid;
-  std::vector<std::pair<std::string, double>> params;
   double timeout_seconds = 10.0;
 };
 
-bool parse_args(int argc, char** argv, Options& options, std::string& error) {
-  auto next_value = [&](int& i, const std::string& flag) -> const char* {
-    if (i + 1 >= argc) {
-      error = flag + " needs a value";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = nullptr;
+/// Throws std::runtime_error on a usage error.
+Options parse_args(int argc, char** argv) {
+  Options options;
+  scenario::ArgCursor args(argc, argv);
+  while (args.next()) {
+    const std::string arg = args.flag();
+    if (options.spec.parse(args)) continue;
     if (arg == "--help") {
       options.help = true;
     } else if (arg == "--version") {
@@ -98,171 +85,47 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
     } else if (arg == "--query-stats") {
       options.query_stats = true;
     } else if (arg == "--socket") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.socket_path = value;
+      options.socket_path = args.value();
     } else if (arg == "--tcp") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> port = util::parse_uint(value);
+      const std::string text = args.value();
+      const std::optional<std::uint64_t> port = util::parse_uint(text);
       if (!port || *port == 0 || *port > 65535) {
-        error = std::string("--tcp expects a port in [1, 65535], got '") +
-                value + "'";
-        return false;
+        throw std::runtime_error("--tcp expects a port in [1, 65535], got '" +
+                                 text + "'");
       }
       options.tcp_port = static_cast<int>(*port);
     } else if (arg == "--cache") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.cache_dir = value;
+      options.cache_dir = args.value();
     } else if (arg == "--threads") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> threads = util::parse_uint(value);
-      if (!threads || *threads > 4096) {
-        error = std::string("--threads expects a non-negative integer "
-                            "(<= 4096), got '") + value + "'";
-        return false;
-      }
-      options.threads = static_cast<unsigned>(*threads);
+      options.threads = static_cast<unsigned>(args.uint_value(4096));
     } else if (arg == "--max-requests") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> count = util::parse_uint(value);
-      if (!count) {
-        error = std::string("--max-requests expects a non-negative "
-                            "integer, got '") + value + "'";
-        return false;
-      }
-      options.max_requests = *count;
-    } else if (arg == "--scenario") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.scenario_name = value;
-    } else if (arg == "--spec") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.spec_file = value;
+      options.max_requests = args.uint_value();
     } else if (arg == "--request") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.raw_request = value;
-    } else if (arg == "--trials") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> trials = util::parse_uint(value);
-      if (!trials) {
-        error = std::string("--trials expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.trials = *trials;
-    } else if (arg == "--seed") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> seed = util::parse_uint(value);
-      if (!seed) {
-        error = std::string("--seed expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.seed = *seed;
-    } else if (arg == "--n") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      std::vector<std::uint64_t> grid;
-      for (const std::string& part : util::split(value, ',')) {
-        const std::optional<std::uint64_t> n = util::parse_uint(part);
-        if (!n) {
-          error = "--n expects non-negative integers, got '" + part + "'";
-          return false;
-        }
-        grid.push_back(*n);
-      }
-      options.n_grid = std::move(grid);
-    } else if (arg == "--param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.params.emplace_back(text.substr(0, eq), *param_value);
+      options.raw_request = args.value();
     } else if (arg == "--timeout") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
+      const std::string text = args.value();
       const std::optional<double> seconds =
-          util::parse_nonnegative_double(value);
+          util::parse_nonnegative_double(text);
       if (!seconds) {
-        error = std::string("--timeout expects seconds, got '") + value +
-                "'";
-        return false;
+        throw std::runtime_error("--timeout expects seconds, got '" + text +
+                                 "'");
       }
       options.timeout_seconds = *seconds;
     } else {
-      error = "unknown flag '" + arg + "'";
-      return false;
+      throw std::runtime_error("unknown flag '" + arg + "'");
     }
   }
-  return true;
-}
-
-/// Assembles the client's request line from flags (unless --request gave
-/// it verbatim). The daemon re-validates everything; this only shapes
-/// the JSON.
-std::string build_request(const Options& options, std::string& error) {
-  if (options.raw_request) return *options.raw_request;
-  std::ostringstream os;
-  os << "{";
-  if (options.scenario_name) {
-    os << "\"scenario\": \"" << util::json_escape(*options.scenario_name)
-       << "\"";
-  } else if (options.spec_file) {
-    std::string text;
-    const std::string read_error = util::read_file(*options.spec_file, text);
-    if (!read_error.empty()) {
-      error = read_error;
-      return {};
-    }
-    while (!text.empty() &&
-           (text.back() == '\n' || text.back() == ' ')) {
-      text.pop_back();
-    }
-    if (text.find('\n') != std::string::npos) {
-      // The wire protocol is line-delimited; re-serialize multi-line
-      // spec files into the canonical single-line form.
-      try {
-        text = scenario::spec_to_json(scenario::spec_from_json(text));
-      } catch (const std::exception& ex) {
-        error = "spec file '" + *options.spec_file + "': " + ex.what();
-        return {};
-      }
-      while (!text.empty() && text.back() == '\n') text.pop_back();
-    }
-    os << "\"spec\": " << text;
-  } else {
-    error = "--query needs one of --scenario, --spec, or --request";
-    return {};
+  if (options.raw_request && options.spec.given()) {
+    throw std::runtime_error("--request and " + options.spec.first_flag +
+                             " cannot be combined: --request is the whole "
+                             "request line");
   }
-  if (options.trials) os << ", \"trials\": " << *options.trials;
-  if (options.seed) os << ", \"seed\": " << *options.seed;
-  if (options.n_grid) {
-    os << ", \"n\": [";
-    for (std::size_t i = 0; i < options.n_grid->size(); ++i) {
-      if (i > 0) os << ", ";
-      os << (*options.n_grid)[i];
-    }
-    os << "]";
+  if (!options.query && (options.raw_request || options.spec.given())) {
+    throw std::runtime_error(
+        (options.raw_request ? "--request" : options.spec.first_flag) +
+        " applies only to --query");
   }
-  if (!options.params.empty()) {
-    os << ", \"params\": {";
-    for (std::size_t i = 0; i < options.params.size(); ++i) {
-      if (i > 0) os << ", ";
-      std::ostringstream number;
-      number.precision(17);
-      number << options.params[i].second;
-      os << "\"" << util::json_escape(options.params[i].first)
-         << "\": " << number.str();
-    }
-    os << "}";
-  }
-  os << "}";
-  return os.str();
+  return options;
 }
 
 int query_mode(const Options& options) {
@@ -270,12 +133,19 @@ int query_mode(const Options& options) {
     std::cerr << "--query needs --socket PATH or --tcp PORT\n";
     return 2;
   }
-  std::string error;
-  const std::string request = build_request(options, error);
-  if (!error.empty()) {
-    std::cerr << error << "\n";
+  if (!options.raw_request && !options.spec.given()) {
+    std::cerr << "--query needs spec flags or --request\n";
     return 2;
   }
+  std::string request;
+  try {
+    request = options.raw_request ? *options.raw_request
+                                  : options.spec.request_line();
+  } catch (const std::exception& ex) {
+    std::cerr << ex.what() << "\n";
+    return 1;
+  }
+  std::string error;
   serve::Endpoint endpoint;
   endpoint.socket_path = options.socket_path;
   endpoint.tcp_port = options.tcp_port;
@@ -353,9 +223,10 @@ int stats_mode(const Options& options) {
 
 int main(int argc, char** argv) {
   Options options;
-  std::string error;
-  if (!parse_args(argc, argv, options, error)) {
-    std::cerr << error << "\n";
+  try {
+    options = parse_args(argc, argv);
+  } catch (const std::exception& ex) {
+    std::cerr << ex.what() << "\n";
     return usage(std::cerr, 2);
   }
   if (options.help) return usage(std::cout, 0);
@@ -386,6 +257,7 @@ int main(int argc, char** argv) {
   daemon_options.max_requests = options.max_requests;
   daemon_options.status = &std::cerr;
   try {
+    std::string error;
     const int rc = serve::run_daemon(daemon_options, &error);
     if (rc != 0) std::cerr << "lnc_serve: " << error << "\n";
     return rc;

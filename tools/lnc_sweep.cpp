@@ -6,33 +6,26 @@
 //   lnc_sweep --list
 //       Catalogue: registered components (with parameter schemas) and the
 //       preset scenarios.
-//   lnc_sweep --scenario NAME [overrides]
-//       Run a preset (override --n/--trials/--seed/--param freely).
-//   lnc_sweep --spec FILE.json [overrides]
-//       Run a spec file (see scenarios/*.json for the format).
-//   lnc_sweep --topology T --language L --construction C [--decider D] ...
-//       Run an ad-hoc scenario assembled from flags.
-//   lnc_sweep --all
+//   lnc_sweep [spec flags]
+//       Run one spec: a preset (--scenario), a spec file (--spec), or an
+//       ad hoc spec assembled from component flags, with overrides. The
+//       spec flags are shared with lnc_launch and lnc_serve --query
+//       (scenario/spec_flags.h; README "Spec flags").
+//   lnc_sweep --all [overrides]
 //       Run every preset (CI trajectory mode).
 //   lnc_sweep --merge SHARD.json...
 //       Merge shard result files into the full estimate.
 //
-// Common flags:
-//   --param k=v      set a component parameter (repeatable)
-//   --n A,B,C        override the n-grid
-//   --trials N       override the trial count
-//   --seed S         override the base seed
-//   --success accept|reject
-//   --mode balls|messages|two-phase
-//   --backend auto|naive|batched|vectorized  trial-execution backend
-//   --execution auto|materialized|implicit   graph representation
+// Run flags:
 //   --shard i/k      run only trial slice i of k (emits a mergeable tally)
+//   --trial-range B:E  run only trials [B, E)
 //   --threads N      worker threads (0 = hardware concurrency; default 1)
+//   --cache DIR      answer from / write back to the result store
 //   --out FILE       also write the result as JSON (shard or complete)
+//   --telemetry      communication-volume columns and a timing line
 //   --trace FILE     write a Chrome trace-event JSON span profile
 //   --progress       live heartbeat lines (throughput / ETA) on stderr
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -46,6 +39,7 @@
 #include "scenario/presets.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
+#include "scenario/spec_flags.h"
 #include "scenario/spec_json.h"
 #include "scenario/sweep.h"
 #include "serve/service.h"
@@ -59,19 +53,11 @@ using namespace lnc;
 
 int usage(std::ostream& os, int code) {
   os << "usage: lnc_sweep --list\n"
-        "       lnc_sweep --scenario NAME [overrides]\n"
-        "       lnc_sweep --spec FILE.json [overrides]\n"
-        "       lnc_sweep --topology T --language L --construction C\n"
-        "                 [--decider D] [overrides]\n"
-        "       lnc_sweep --all [overrides]\n"
+        "       lnc_sweep [spec flags] [run flags]\n"
+        "       lnc_sweep --all [spec overrides] [run flags]\n"
         "       lnc_sweep --merge SHARD.json...\n"
-        "overrides: --param k=v | --n A,B,C | --trials N | --seed S\n"
-        "           --workload success|value|counter | --statistic NAME\n"
-        "           --success accept|reject | --mode balls|messages|two-phase\n"
-        "           --backend auto|naive|batched|vectorized\n"
-        "           --execution auto|materialized|implicit\n"
-        "           --fault NAME | --fault-param k=v\n"
-        "           --shard i/k | --threads N | --out FILE | --telemetry\n"
+     << scenario::spec_flags_usage()
+     << "run flags: --shard i/k | --threads N | --out FILE | --telemetry\n"
         "           --trial-range B:E | --cache DIR | --trace FILE\n"
         "           --progress | --help | --version\n"
         "value/counter workloads measure a registered statistic of the\n"
@@ -173,29 +159,8 @@ struct Options {
   bool all = false;
   bool help = false;
   bool version = false;
-  std::optional<std::string> scenario_name;
-  std::optional<std::string> spec_file;
+  scenario::SpecFlags spec;
   std::vector<std::string> merge_files;
-
-  // Ad-hoc component flags.
-  std::optional<std::string> topology;
-  std::optional<std::string> language;
-  std::optional<std::string> construction;
-  std::optional<std::string> decider;
-
-  // Overrides.
-  scenario::ParamMap params;
-  std::optional<std::vector<std::uint64_t>> n_grid;
-  std::optional<std::uint64_t> trials;
-  std::optional<std::uint64_t> seed;
-  std::optional<bool> success_on_accept;
-  std::optional<local::ExecMode> mode;
-  std::optional<local::WorkloadKind> workload;
-  std::optional<std::string> statistic;
-  std::optional<local::OptimizationConfig::Backend> backend;
-  std::optional<scenario::Execution> execution;
-  std::optional<std::string> fault;
-  scenario::ParamMap fault_params;
 
   unsigned shard = 0;
   unsigned shard_count = 1;
@@ -208,243 +173,82 @@ struct Options {
   bool progress = false;
 };
 
-bool parse_args(int argc, char** argv, Options& options, std::string& error) {
-  auto next_value = [&](int& i, const std::string& flag) -> const char* {
-    if (i + 1 >= argc) {
-      error = flag + " needs a value";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = nullptr;
+/// Throws std::runtime_error on a usage error.
+Options parse_args(int argc, char** argv) {
+  Options options;
+  scenario::ArgCursor args(argc, argv);
+  while (args.next()) {
+    const std::string arg = args.flag();
+    if (options.spec.parse(args)) continue;
     if (arg == "--list") {
       options.list = true;
     } else if (arg == "--all") {
       options.all = true;
-    } else if (arg == "--scenario") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.scenario_name = value;
-    } else if (arg == "--spec") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.spec_file = value;
     } else if (arg == "--merge") {
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        options.merge_files.emplace_back(argv[++i]);
+      while (const std::optional<std::string> file = args.operand()) {
+        options.merge_files.push_back(*file);
       }
       if (options.merge_files.empty()) {
-        error = "--merge needs at least one shard file";
-        return false;
+        throw std::runtime_error("--merge needs at least one shard file");
       }
-    } else if (arg == "--topology") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.topology = value;
-    } else if (arg == "--language") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.language = value;
-    } else if (arg == "--construction") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.construction = value;
-    } else if (arg == "--decider") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.decider = value;
-    } else if (arg == "--param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.params[text.substr(0, eq)] = *param_value;
-    } else if (arg == "--n") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      std::vector<std::uint64_t> grid;
-      for (const std::string& part : util::split(value, ',')) {
-        const std::optional<std::uint64_t> n = util::parse_uint(part);
-        if (!n) {
-          error = "--n expects non-negative integers, got '" + part + "'";
-          return false;
-        }
-        grid.push_back(*n);
-      }
-      options.n_grid = std::move(grid);
-    } else if (arg == "--trials") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> trials = util::parse_uint(value);
-      if (!trials) {
-        error = std::string("--trials expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.trials = *trials;
-    } else if (arg == "--seed") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> seed = util::parse_uint(value);
-      if (!seed) {
-        error = std::string("--seed expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.seed = *seed;
-    } else if (arg == "--workload") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<local::WorkloadKind> kind =
-          local::workload_from_string(value);
-      if (!kind) {
-        error = "--workload expects success|value|counter";
-        return false;
-      }
-      options.workload = *kind;
-    } else if (arg == "--statistic") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.statistic = value;
-    } else if (arg == "--success") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string side = value;
-      if (side != "accept" && side != "reject") {
-        error = "--success expects accept|reject";
-        return false;
-      }
-      options.success_on_accept = side == "accept";
-    } else if (arg == "--mode") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string mode = value;
-      if (mode == "balls") {
-        options.mode = local::ExecMode::kBalls;
-      } else if (mode == "messages") {
-        options.mode = local::ExecMode::kMessages;
-      } else if (mode == "two-phase") {
-        options.mode = local::ExecMode::kTwoPhase;
-      } else {
-        error = "--mode expects balls|messages|two-phase";
-        return false;
-      }
-    } else if (arg == "--backend") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<local::OptimizationConfig::Backend> backend =
-          local::backend_from_string(value);
-      if (!backend) {
-        error = std::string("--backend expects "
-                            "auto|naive|batched|vectorized, got '") +
-                value + "'";
-        return false;
-      }
-      options.backend = *backend;
-    } else if (arg == "--execution") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<scenario::Execution> execution =
-          scenario::execution_from_string(value);
-      if (!execution) {
-        error = std::string("--execution expects "
-                            "auto|materialized|implicit, got '") +
-                value + "'";
-        return false;
-      }
-      options.execution = *execution;
-    } else if (arg == "--fault") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.fault = value;
-    } else if (arg == "--fault-param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--fault-param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--fault-param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.fault_params[text.substr(0, eq)] = *param_value;
     } else if (arg == "--shard") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
+      const std::string text = args.value();
       const std::size_t slash = text.find('/');
-      if (slash == std::string::npos) {
-        error = "--shard expects i/k, got '" + text + "'";
-        return false;
-      }
       // Strict parses: std::stoul would wrap "-1" to ULONG_MAX instead
       // of rejecting it.
       const std::optional<std::uint64_t> index =
           util::parse_uint(text.substr(0, slash));
       const std::optional<std::uint64_t> count =
-          util::parse_uint(text.substr(slash + 1));
+          slash == std::string::npos ? std::nullopt
+                                     : util::parse_uint(text.substr(slash + 1));
       if (!index || !count || *index > 1000000 || *count > 1000000) {
-        error = "--shard expects non-negative integers i/k, got '" + text +
-                "'";
-        return false;
+        throw std::runtime_error(
+            "--shard expects non-negative integers i/k, got '" + text + "'");
       }
       options.shard = static_cast<unsigned>(*index);
       options.shard_count = static_cast<unsigned>(*count);
       // Diagnose precisely — the launch supervisor keys off this exit
       // code, and "out of range" alone buries which bound was violated.
       if (options.shard_count == 0) {
-        error = "--shard " + text + " is invalid: the shard count k must "
-                "be at least 1";
-        return false;
+        throw std::runtime_error("--shard " + text +
+                                 " is invalid: the shard count k must be "
+                                 "at least 1");
       }
       if (options.shard >= options.shard_count) {
-        error = "--shard " + text + " is invalid: the shard index i must "
-                "satisfy i < k (indices are 0-based, so the last shard "
-                "of k=" + std::to_string(options.shard_count) + " is " +
-                std::to_string(options.shard_count - 1) + ")";
-        return false;
+        throw std::runtime_error(
+            "--shard " + text + " is invalid: the shard index i must "
+            "satisfy i < k (indices are 0-based, so the last shard of k=" +
+            std::to_string(options.shard_count) + " is " +
+            std::to_string(options.shard_count - 1) + ")");
       }
     } else if (arg == "--trial-range") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
+      const std::string text = args.value();
       const std::size_t colon = text.find(':');
-      if (colon == std::string::npos) {
-        error = "--trial-range expects B:E, got '" + text + "'";
-        return false;
-      }
       const std::optional<std::uint64_t> begin =
           util::parse_uint(text.substr(0, colon));
       const std::optional<std::uint64_t> end =
-          util::parse_uint(text.substr(colon + 1));
+          colon == std::string::npos ? std::nullopt
+                                     : util::parse_uint(text.substr(colon + 1));
       if (!begin || !end) {
-        error = "--trial-range expects non-negative integers B:E, got '" +
-                text + "'";
-        return false;
+        throw std::runtime_error(
+            "--trial-range expects non-negative integers B:E, got '" + text +
+            "'");
       }
       if (*begin >= *end) {
-        error = "--trial-range " + text +
-                " is empty: B must be strictly below E";
-        return false;
+        throw std::runtime_error("--trial-range " + text +
+                                 " is empty: B must be strictly below E");
       }
       options.trial_range = local::TrialRange{*begin, *end};
     } else if (arg == "--cache") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.cache_dir = value;
+      options.cache_dir = args.value();
     } else if (arg == "--threads") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> threads = util::parse_uint(value);
-      if (!threads || *threads > 4096) {
-        error = std::string("--threads expects a non-negative integer "
-                            "(<= 4096), got '") + value + "'";
-        return false;
-      }
-      options.threads = static_cast<unsigned>(*threads);
+      options.threads = static_cast<unsigned>(args.uint_value(4096));
     } else if (arg == "--telemetry") {
       options.telemetry = true;
     } else if (arg == "--out") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.out_file = value;
+      options.out_file = args.value();
     } else if (arg == "--trace") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.trace_file = value;
+      options.trace_file = args.value();
     } else if (arg == "--progress") {
       options.progress = true;
     } else if (arg == "--help") {
@@ -452,42 +256,25 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
     } else if (arg == "--version") {
       options.version = true;
     } else {
-      error = "unknown flag '" + arg + "'";
-      return false;
+      throw std::runtime_error("unknown flag '" + arg + "'");
     }
   }
+  if (options.all && !options.spec.source_flag.empty()) {
+    throw std::runtime_error("--all and " + options.spec.source_flag +
+                             " both name the spec source; give one");
+  }
   if (options.trial_range && options.shard_count > 1) {
-    error = "--trial-range and --shard are mutually exclusive (a range IS "
-            "an explicit shard)";
-    return false;
+    throw std::runtime_error("--trial-range and --shard are mutually "
+                             "exclusive (a range IS an explicit shard)");
   }
   if (options.cache_dir &&
       (options.shard_count > 1 || options.trial_range ||
        !options.merge_files.empty())) {
-    error = "--cache serves complete results only — it cannot be combined "
-            "with --shard, --trial-range, or --merge";
-    return false;
+    throw std::runtime_error("--cache serves complete results only — it "
+                             "cannot be combined with --shard, "
+                             "--trial-range, or --merge");
   }
-  return true;
-}
-
-void apply_overrides(const Options& options, scenario::ScenarioSpec& spec) {
-  for (const auto& [key, value] : options.params) spec.params[key] = value;
-  if (options.n_grid) spec.n_grid = *options.n_grid;
-  if (options.trials) spec.trials = *options.trials;
-  if (options.seed) spec.base_seed = *options.seed;
-  if (options.success_on_accept) {
-    spec.success_on_accept = *options.success_on_accept;
-  }
-  if (options.mode) spec.mode = *options.mode;
-  if (options.workload) spec.workload = *options.workload;
-  if (options.statistic) spec.statistic = *options.statistic;
-  if (options.backend) spec.backend = *options.backend;
-  if (options.execution) spec.execution = *options.execution;
-  if (options.fault) spec.fault = *options.fault;
-  for (const auto& [key, value] : options.fault_params) {
-    spec.fault_params[key] = value;
-  }
+  return options;
 }
 
 /// The --out path for one scenario: unchanged for a single run, suffixed
@@ -597,11 +384,9 @@ int run_one(const scenario::ScenarioSpec& spec, const Options& options,
       std::cerr << "note: " << note << "\n";
     }
     // Grep-stable (CI's cache gate keys off this line).
-    os << "cache[" << spec.name << "]: outcome="
-       << serve::to_string(outcome.outcome)
-       << " trials_reused=" << outcome.trials_reused
-       << " trials_computed=" << outcome.trials_computed << " key="
-       << outcome.key.substr(0, 16) << " epoch=" << util::seed_stream_epoch()
+    os << serve::cache_line(spec.name, outcome.outcome,
+                            outcome.trials_reused, outcome.trials_computed,
+                            outcome.key)
        << "\n";
     result = std::move(outcome.result);
   } else {
@@ -697,15 +482,10 @@ int merge_mode(const Options& options) {
 
 int main(int argc, char** argv) {
   Options options;
-  std::string error;
   try {
-    if (!parse_args(argc, argv, options, error)) {
-      std::cerr << error << "\n";
-      return usage(std::cerr, 2);
-    }
+    options = parse_args(argc, argv);
   } catch (const std::exception& ex) {
-    // std::stod/std::stoull throw on malformed numeric flag values.
-    std::cerr << "bad flag value: " << ex.what() << "\n";
+    std::cerr << ex.what() << "\n";
     return usage(std::cerr, 2);
   }
   if (options.help) return usage(std::cout, 0);
@@ -718,40 +498,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!options.merge_files.empty()) return merge_mode(options);
+  if (!options.all && !options.spec.given()) return usage(std::cerr, 2);
 
   std::vector<scenario::ScenarioSpec> specs;
   try {
     if (options.all) {
       specs = scenario::preset_scenarios();
-    } else if (options.scenario_name) {
-      const scenario::ScenarioSpec* preset =
-          scenario::find_preset(*options.scenario_name);
-      if (preset == nullptr) {
-        std::cerr << "unknown scenario '" << *options.scenario_name
-                  << "' (see --list)\n";
-        return 1;
-      }
-      specs.push_back(*preset);
-    } else if (options.spec_file) {
-      std::ifstream in(*options.spec_file);
-      if (!in) {
-        std::cerr << "cannot read '" << *options.spec_file << "'\n";
-        return 1;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      specs.push_back(scenario::spec_from_json(text.str()));
-    } else if (options.topology || options.language || options.construction) {
-      scenario::ScenarioSpec spec;
-      spec.name = "adhoc";
-      if (options.topology) spec.topology = *options.topology;
-      if (options.language) spec.language = *options.language;
-      if (options.construction) spec.construction = *options.construction;
-      if (options.decider) spec.decider = *options.decider;
-      if (!options.n_grid) spec.n_grid = {64};
-      specs.push_back(std::move(spec));
     } else {
-      return usage(std::cerr, 2);
+      specs.push_back(options.spec.base());
+    }
+    for (scenario::ScenarioSpec& spec : specs) {
+      scenario::apply_spec_fields(options.spec.overrides, spec);
     }
   } catch (const std::exception& ex) {
     std::cerr << ex.what() << "\n";
@@ -782,8 +539,7 @@ int main(int argc, char** argv) {
   }
 
   int rc = 0;
-  for (scenario::ScenarioSpec& spec : specs) {
-    apply_overrides(options, spec);
+  for (const scenario::ScenarioSpec& spec : specs) {
     rc |= run_one(spec, options, specs.size() > 1, pool ? &*pool : nullptr,
                   service ? &*service : nullptr, std::cout);
   }
