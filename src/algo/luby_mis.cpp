@@ -96,7 +96,7 @@ class LubyProgram final : public local::NodeProgram {
 /// node before the odd receive pass (the send barrier), and the even pass
 /// compares against a per-trial status snapshot because kIn/kOut flips
 /// happen in place during that same pass. A port the batch reports
-/// silent (VectorBatch::hears) is skipped, as the scalar program skips an
+/// silent (VectorBatch::hearing) is skipped, as the scalar program skips an
 /// empty message.
 ///
 /// The per-node state stays trial-major — [trial * n + node] — matching
@@ -141,6 +141,7 @@ class LubyVectorProgram final : public local::VectorProgram {
       std::uint8_t* status = status_.data() + base;
       std::uint64_t* draws = draws_.data() + base;
       std::uint8_t* joining = joining_.data() + base;
+      const local::VectorBatch::Hearing hears = batch.hearing(t);
       if (odd) {
         // Send pass: undecided nodes refresh their competition draw, all
         // in one bulk philox call.
@@ -161,7 +162,7 @@ class LubyVectorProgram final : public local::VectorProgram {
           const auto nbrs = g.neighbors(v);
           for (std::size_t p = 0; p < nbrs.size(); ++p) {
             const auto u = nbrs[p];
-            if (status[u] != kUndecided || !batch.hears(t, v, p)) continue;
+            if (status[u] != kUndecided || !hears(g.port_offset(v) + p)) continue;
             if (draws[u] > draws[v] ||
                 (draws[u] == draws[v] && ids[u] > ids[v])) {
               joins = 0;
@@ -187,7 +188,7 @@ class LubyVectorProgram final : public local::VectorProgram {
           const auto u = nbrs[p];
           if (((prev_status_[u] == kUndecided && joining[u] != 0) ||
                prev_status_[u] == kIn) &&
-              batch.hears(t, v, p)) {
+              hears(g.port_offset(v) + p)) {
             status[v] = static_cast<std::uint8_t>(kOut);
             return;  // a neighbor joined this phase or an earlier one
           }

@@ -160,7 +160,7 @@ bool coin_half(std::uint64_t draw) noexcept {
 /// nodes' scalar draws are provably unread — every neighbor is matched
 /// (and a matched node's receive halts before scanning) or crashed — so
 /// the vector backend skips them without observable difference. A port
-/// the batch reports silent (VectorBatch::hears) is skipped, as the
+/// the batch reports silent (VectorBatch::hearing) is skipped, as the
 /// scalar program skips an empty message.
 class MatchingVectorProgram final : public local::VectorProgram {
  public:
@@ -208,6 +208,7 @@ class MatchingVectorProgram final : public local::VectorProgram {
           static_cast<std::size_t>(t) * g.port_count();
       std::uint8_t* avail = avail_.data() + port_base;
       std::uint64_t* nid = nid_.data() + port_base;
+      const local::VectorBatch::Hearing hears = batch.hearing(t);
       charge_traffic(batch, t, odd, matched);
       if (odd) {
         send_pass(batch, t, matched, known, role, target, draw, avail, nid);
@@ -222,7 +223,7 @@ class MatchingVectorProgram final : public local::VectorProgram {
           for (std::size_t p = 0; p < nbrs.size(); ++p) {
             // A silent port (crashed/lossy neighbor) carries no
             // information; the last known availability stands.
-            if (!batch.hears(t, v, p)) continue;
+            if (!hears(g.port_offset(v) + p)) continue;
             const auto u = nbrs[p];
             const std::size_t pp = g.port_offset(v) + p;
             avail[pp] = matched[u] == 0 ? 1 : 0;
@@ -255,7 +256,7 @@ class MatchingVectorProgram final : public local::VectorProgram {
           for (std::size_t p = 0; p < nbrs.size(); ++p) {
             const auto u = nbrs[p];
             if (prev_matched_[u] == 0 && accepted[u] == ids[v] &&
-                batch.hears(t, v, p)) {
+                hears(g.port_offset(v) + p)) {
               // Only our proposal target could have accepted us.
               matched[v] = 1;
               mate[v] = target[v];

@@ -101,6 +101,7 @@ class WeakColorVectorProgram final : public local::VectorProgram {
         return;
       }
       std::copy(row, row + n, prev_.begin());
+      const local::VectorBatch::Hearing hears = batch.hearing(t);
       // Gather the all-agree nodes (a silent port cannot disagree), then
       // resample them in one bulk philox call (bit-identical to per-node
       // next_below(2); see init).
@@ -108,7 +109,7 @@ class WeakColorVectorProgram final : public local::VectorProgram {
       batch.for_each_active_node(t, [&](std::uint32_t v) {
         const auto nbrs = g.neighbors(v);
         for (std::size_t p = 0; p < nbrs.size(); ++p) {
-          if (prev_[nbrs[p]] != prev_[v] && batch.hears(t, v, p)) return;
+          if (prev_[nbrs[p]] != prev_[v] && hears(g.port_offset(v) + p)) return;
         }
         pending_.push_back(v);
       });

@@ -27,7 +27,7 @@
 // call (the link keys depend only on identities, so they are laid out
 // once per batch), and keeps a per-(trial, port) silence bit: a port is
 // silent when its neighbour is dead or the link fault hit it this round.
-// Programs test VectorBatch::hears() wherever their scalar twin skips an
+// Programs test VectorBatch::hearing() wherever their scalar twin skips an
 // empty message, and charge traffic only to the senders still alive. The
 // fault counters follow run_engine's rules exactly.
 //
@@ -178,15 +178,24 @@ class VectorBatch {
     }
   }
 
-  /// Whether port p of `node` hears its neighbour this round: the
+  /// Which ports of one trial hear their neighbour this round: the
   /// neighbour has not crashed and no link fault silenced the delivery.
   /// Always true without a fault model. Programs consult it wherever the
-  /// scalar program skips an empty (silent) message.
-  bool hears(std::uint32_t trial, std::uint32_t node,
-             std::size_t p) const noexcept {
-    return fault_ == nullptr ||
-           silent_[static_cast<std::size_t>(trial) * ports_ +
-                   inst_->g.port_offset(node) + p] == 0;
+  /// scalar program skips an empty (silent) message, indexed by the
+  /// global port (g.port_offset(node) + p).
+  struct Hearing {
+    const char* silent = nullptr;  ///< the trial's row; null: fault-free
+    bool operator()(std::size_t port) const noexcept {
+      return silent == nullptr || silent[port] == 0;
+    }
+  };
+  /// Taken once per trial pass: a local copy cannot be aliased by the
+  /// pass's byte stores, so the fault-free test stays a register compare
+  /// instead of a reload of the batch's fault pointer per port.
+  Hearing hearing(std::uint32_t trial) const noexcept {
+    return {fault_ == nullptr
+                ? nullptr
+                : silent_.data() + static_cast<std::size_t>(trial) * ports_};
   }
 
   /// Crashed nodes of `trial` so far. They send nothing: a round's
@@ -293,7 +302,7 @@ class VectorBatch {
 /// across batches when the scratch is reused) and must replicate the
 /// scalar program exactly: per-node draw sequences, halting rounds, and
 /// per-round message/word counts. Under a fault model that means reading
-/// a neighbour only where VectorBatch::hears() allows it and charging
+/// a neighbour only where VectorBatch::hearing() allows it and charging
 /// traffic to the dead_count()-reduced senders; the driver owns crashes,
 /// the silence bits, the fault counters and the crashed nodes' outputs.
 /// A program whose nodes could stay silent while alive would need more
