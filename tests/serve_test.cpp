@@ -553,4 +553,94 @@ TEST(DaemonProtocol, DeepRequestLineIsAnErrorAndTheDaemonAnswersOn) {
   EXPECT_NE(stats.find("\"queries\": 0"), std::string::npos) << stats;
 }
 
+// Mutated request lines (a fixed seed and case count): truncations, bit
+// flips, deep nesting and edge numbers on small valid requests must each
+// come back as parseable ok/error JSON — never a crash, never undefined
+// behaviour under the sanitizer lane — and the daemon must answer a
+// stats request afterwards.
+TEST(DaemonProtocol, MutatedRequestLinesAnswerOkOrError) {
+  serve::ServiceOptions options;
+  options.threads = 1;
+  serve::SweepService service(fresh_dir("mutated"), options);
+  const std::vector<std::string> bases = {
+      R"({"scenario": "ring-amos-yes", "trials": 8, "n": [16]})",
+      R"({"scenario": "luby-mis-rounds", "trials": 4, "n": [16], "seed": 3})",
+      R"({"spec": {"name": "m", "topology": "ring", "language": "mis", )"
+      R"("construction": "luby-mis", "decider": "lcl", "n": [12], )"
+      R"("trials": 4}, "params": {}})",
+      R"({"scenario": "ring-amos-drop", "trials": 4, "n": [8], )"
+      R"("fault-params": {"p-loss": 0.25}})",
+  };
+  const std::vector<std::string> edges = {
+      "1e309", "-1e309", "18446744073709551616", "-0", "-8", "0", "1",
+      "1e-320", "0.5", "4294967295"};
+  std::uint64_t state = 20261020;
+  const auto next = [&state] {
+    state += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  const auto edge = [&] { return edges[next() % edges.size()]; };
+  int answered = 0;
+  int refused = 0;
+  for (int c = 0; c < 400; ++c) {
+    std::string line = bases[next() % bases.size()];
+    switch (next() % 4) {
+      case 0:  // truncation
+        line.resize(next() % line.size());
+        break;
+      case 1:  // byte flips
+        for (int k = 1 + static_cast<int>(next() % 3); k > 0; --k) {
+          line[next() % line.size()] ^=
+              static_cast<char>(1u << (next() % 8));
+        }
+        break;
+      case 2: {  // deep nesting around a value
+        const std::size_t depth = 1 + next() % 300;
+        line = "{\"scenario\": " + std::string(depth, '[') +
+               "\"ring-amos-yes\"" + std::string(depth, ']') + "}";
+        break;
+      }
+      default:  // edge numbers in every numeric slot
+        switch (next() % 4) {
+          case 0:
+            line = R"({"scenario": "ring-amos-yes", "n": [16], "trials": )" +
+                   edge() + "}";
+            break;
+          case 1:
+            line = R"({"scenario": "ring-amos-yes", "trials": 4, "n": [)" +
+                   edge() + "]}";
+            break;
+          case 2:
+            line = R"({"scenario": "ring-amos-yes", "trials": 4, "n": [16], )"
+                   R"("params": {"count": )" +
+                   edge() + "}}";
+            break;
+          default:
+            line = R"({"scenario": "ring-amos-drop", "trials": 4, "n": [8], )"
+                   R"("seed": )" + edge() +
+                   R"(, "fault-params": {"p-loss": )" + edge() + "}}";
+        }
+    }
+    const std::string response = serve::handle_request_line(service, line);
+    ASSERT_FALSE(response.empty()) << line;
+    EXPECT_EQ(response.back(), '\n') << line;
+    scenario::Json root;
+    ASSERT_NO_THROW(root = scenario::Json::parse(response))
+        << line << " -> " << response;
+    const std::string& status = root.at("status").as_string();
+    EXPECT_TRUE(status == "ok" || status == "error")
+        << line << " -> " << response;
+    ++(status == "ok" ? answered : refused);
+  }
+  // Both sides ran: the mutations reach the sweep, not only the parser.
+  EXPECT_GT(answered, 0);
+  EXPECT_GT(refused, 0);
+  const std::string stats =
+      serve::handle_request_line(service, "{\"op\": \"stats\"}");
+  EXPECT_NE(stats.find("\"status\": \"ok\""), std::string::npos) << stats;
+}
+
 }  // namespace
