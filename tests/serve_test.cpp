@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
+#include <optional>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "local/batch_runner.h"
 #include "scenario/presets.h"
@@ -641,6 +645,92 @@ TEST(DaemonProtocol, MutatedRequestLinesAnswerOkOrError) {
   const std::string stats =
       serve::handle_request_line(service, "{\"op\": \"stats\"}");
   EXPECT_NE(stats.find("\"status\": \"ok\""), std::string::npos) << stats;
+}
+
+// ------------------------------------------------- spec front end --
+
+/// Runs a built tool with stderr folded into the output; returns the exit
+/// code (-1 when the tool died on a signal).
+int run_tool(const std::string& args, std::string& output) {
+  const std::string command =
+      std::string(LNC_BINARY_DIR) + "/" + args + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) output += buffer;
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// The text after `marker` up to the next `end` character.
+std::string field_after(const std::string& text, const std::string& marker,
+                        char end) {
+  const std::size_t at = text.find(marker);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + marker.size();
+  return text.substr(begin, text.find(end, begin) - begin);
+}
+
+/// The canonical JSON of the spec a store holds under `key`.
+std::string stored_spec(const std::string& dir, const serve::CacheKey& key) {
+  std::string diagnostic;
+  const std::optional<serve::CacheEntry> entry =
+      serve::ResultStore(dir).lookup(key, &diagnostic);
+  return entry ? scenario::spec_to_json(entry->spec) : "none: " + diagnostic;
+}
+
+// The same spec flags through lnc_sweep --cache, lnc_launch --cache and
+// lnc_serve --query (against a daemon on a fresh store) must name the
+// same spec: the printed or returned cache key and the stored spec's
+// canonical JSON agree in all three tools.
+TEST(SpecFrontEnd, EveryToolReadsTheSameFlagsAsTheSameSpec) {
+  const std::string scenarios = std::string(LNC_SOURCE_DIR) + "/scenarios/";
+  const std::vector<std::string> rows = {
+      "--scenario ring-amos-yes --trials 8 --n 16 --seed 5 --param count=1",
+      "--spec " + scenarios + "luby-mis-rounds.json --trials 6 --n 16,24",
+      "--topology ring --language mis --construction luby-mis --decider lcl "
+      "--n 16 --trials 6",
+      "--scenario luby-mis-rounds --fault drop --fault-param p-loss=0.25 "
+      "--trials 6 --n 16",
+  };
+  const std::string root = fresh_dir("frontend");
+  std::filesystem::create_directories(root);
+  serve::DaemonOptions daemon;
+  daemon.socket_path = root + "/sock";
+  daemon.cache_dir = root + "/serve-store";
+  daemon.threads = 1;
+  daemon.max_requests = rows.size();
+  std::thread server([&daemon] { serve::run_daemon(daemon); });
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string& flags = rows[i];
+    const std::string sweep_store = root + "/sweep-" + std::to_string(i);
+    const std::string launch_store = root + "/launch-" + std::to_string(i);
+    std::string sweep, launch, query;
+    EXPECT_EQ(run_tool("lnc_sweep " + flags + " --cache " + sweep_store,
+                       sweep),
+              0)
+        << sweep;
+    EXPECT_EQ(run_tool("lnc_launch " + flags + " --shards 2 --cache " +
+                           launch_store + " --run-dir " + root + "/run-" +
+                           std::to_string(i),
+                       launch),
+              0)
+        << launch;
+    EXPECT_EQ(run_tool("lnc_serve --query --socket " + daemon.socket_path +
+                           " " + flags,
+                       query),
+              0)
+        << query;
+    const std::string key = field_after(query, "\"key\": \"", '"');
+    ASSERT_EQ(key.size(), 64u) << query;
+    EXPECT_EQ(field_after(sweep, "key=", ' '), key.substr(0, 16)) << sweep;
+    EXPECT_EQ(field_after(launch, "key=", ' '), key.substr(0, 16)) << launch;
+    const std::string served = stored_spec(daemon.cache_dir, key);
+    EXPECT_EQ(stored_spec(sweep_store, key), served) << flags;
+    EXPECT_EQ(stored_spec(launch_store, key), served) << flags;
+    EXPECT_EQ(served.rfind("none", 0), std::string::npos) << served;
+  }
+  server.join();
 }
 
 }  // namespace
