@@ -648,58 +648,6 @@ TEST(SpecJson, DeepSpecFileIsDiagnosedByTheCli) {
   EXPECT_NE(output.find("JSON error at offset"), std::string::npos) << output;
 }
 
-/// Runs a built tool with stderr folded into the output; returns the exit
-/// code (-1 when the tool died on a signal).
-int run_tool(const std::string& args, std::string& output) {
-  const std::string command = std::string(LNC_BINARY_DIR) + "/" + args +
-                              " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return -1;
-  char buffer[256];
-  while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) output += buffer;
-  const int status = pclose(pipe);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-TEST(SpecFlags, ComponentOverridesOnAPresetAreDiagnosed) {
-  std::string output;
-  EXPECT_EQ(run_tool("lnc_sweep --scenario ring-amos-yes --decider "
-                     "no-such-decider --topology no-such --trials 4 --n 16",
-                     output),
-            1)
-      << output;
-  EXPECT_NE(output.find("unknown topology 'no-such'"), std::string::npos)
-      << output;
-  output.clear();
-  EXPECT_EQ(run_tool("lnc_sweep --all --topology nope --trials 4", output), 1)
-      << output;
-  EXPECT_NE(output.find("unknown topology 'nope'"), std::string::npos)
-      << output;
-}
-
-TEST(SpecFlags, TwoSourcesAreAUsageErrorNamingBoth) {
-  std::string output;
-  EXPECT_EQ(run_tool("lnc_sweep --scenario ring-amos-yes --spec "
-                     "scenarios/ring-amos-yes.json",
-                     output),
-            2)
-      << output;
-  EXPECT_NE(output.find("--scenario and --spec"), std::string::npos)
-      << output;
-}
-
-TEST(SpecFlags, RequestWithSpecFlagsIsAUsageErrorNamingBoth) {
-  std::string output;
-  EXPECT_EQ(run_tool("lnc_serve --query --socket no-such.sock --request "
-                     "'{\"scenario\": \"ring-amos-yes\"}' --scenario "
-                     "ring-amos-no --trials 4",
-                     output),
-            2)
-      << output;
-  EXPECT_NE(output.find("--request and --scenario"), std::string::npos)
-      << output;
-}
-
 TEST(Recycling, ScratchReuseAcrossFactoriesStaysCorrect) {
   const local::Instance inst = scenario::build_instance("ring", 32);
   const rand::PhiloxCoins coins(7, rand::Stream::kConstruction);

@@ -679,6 +679,45 @@ std::string stored_spec(const std::string& dir, const serve::CacheKey& key) {
   return entry ? scenario::spec_to_json(entry->spec) : "none: " + diagnostic;
 }
 
+TEST(SpecFlags, ComponentOverridesOnAPresetAreDiagnosed) {
+  std::string output;
+  EXPECT_EQ(run_tool("lnc_sweep --scenario ring-amos-yes --decider "
+                     "no-such-decider --topology no-such --trials 4 --n 16",
+                     output),
+            1)
+      << output;
+  EXPECT_NE(output.find("unknown topology 'no-such'"), std::string::npos)
+      << output;
+  output.clear();
+  EXPECT_EQ(run_tool("lnc_sweep --all --topology nope --trials 4", output), 1)
+      << output;
+  EXPECT_NE(output.find("unknown topology 'nope'"), std::string::npos)
+      << output;
+}
+
+TEST(SpecFlags, TwoSourcesAreAUsageErrorNamingBoth) {
+  std::string output;
+  EXPECT_EQ(run_tool("lnc_sweep --scenario ring-amos-yes --spec "
+                     "scenarios/ring-amos-yes.json",
+                     output),
+            2)
+      << output;
+  EXPECT_NE(output.find("--scenario and --spec"), std::string::npos)
+      << output;
+}
+
+TEST(SpecFlags, RequestWithSpecFlagsIsAUsageErrorNamingBoth) {
+  std::string output;
+  EXPECT_EQ(run_tool("lnc_serve --query --socket no-such.sock --request "
+                     "'{\"scenario\": \"ring-amos-yes\"}' --scenario "
+                     "ring-amos-no --trials 4",
+                     output),
+            2)
+      << output;
+  EXPECT_NE(output.find("--request and --scenario"), std::string::npos)
+      << output;
+}
+
 // The same spec flags through lnc_sweep --cache, lnc_launch --cache and
 // lnc_serve --query (against a daemon on a fresh store) must name the
 // same spec: the printed or returned cache key and the stored spec's
