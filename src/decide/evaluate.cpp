@@ -34,9 +34,11 @@ DecisionOutcome evaluate_impl(const local::Instance& inst,
   // faults is NOT charged here — the construction side owns that tally.
   std::optional<fault::FaultSubgraph> local_censor;
   const graph::BallFilter* filter = nullptr;
-  if (options.fault != nullptr && !options.fault->trivial()) {
+  if (fault::engaged(options.fault)) {
     LNC_EXPECTS(!inst.is_implicit() &&
                 "fault censoring requires a materialized instance");
+    LNC_EXPECTS(&options.fault->graph() == &inst.g &&
+                "fault binding belongs to another instance");
     const fault::FaultSubgraph* censor = options.realized_faults;
     if (censor == nullptr) {
       LNC_EXPECTS(options.fault_coins != nullptr &&
@@ -44,8 +46,8 @@ DecisionOutcome evaluate_impl(const local::Instance& inst,
       fault::FaultSubgraph& fresh = options.ball != nullptr
                                         ? options.ball->faults
                                         : local_censor.emplace();
-      fresh.realize(*options.fault, *options.fault_coins, inst.g,
-                    inst.ids.raw(), /*links=*/radius > 0);
+      fresh.realize(*options.fault, *options.fault_coins,
+                    /*links=*/radius > 0);
       censor = &fresh;
     }
     filter = censor;

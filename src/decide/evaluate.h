@@ -17,7 +17,7 @@
 #include "local/telemetry.h"
 
 namespace lnc::fault {
-class FaultModel;
+class InstanceFaults;
 class FaultSubgraph;
 }
 
@@ -57,14 +57,15 @@ struct EvaluateOptions {
   /// per trial.
   local::BallWorkspace* ball = nullptr;
 
-  /// Optional adversary (src/fault/): when `fault` is non-null and
-  /// non-trivial, `fault_coins` must be the trial's dedicated fault
-  /// stream. Crashed nodes cast no verdict (they are not counted toward
-  /// acceptance — a crash-stop node cannot reject), and every surviving
-  /// node's decision ball is collected inside the realized fault
-  /// subgraph. The censor charges NO fault telemetry: the construction
-  /// side already tallied this trial's realized faults exactly once.
-  const fault::FaultModel* fault = nullptr;
+  /// Optional adversary (src/fault/): when `fault` is engaged (bound to
+  /// the evaluated instance and non-trivial), `fault_coins` must be the
+  /// trial's dedicated fault stream. Crashed nodes cast no verdict (they
+  /// are not counted toward acceptance — a crash-stop node cannot
+  /// reject), and every surviving node's decision ball is collected
+  /// inside the realized fault subgraph. The censor charges NO fault
+  /// telemetry: the construction side already tallied this trial's
+  /// realized faults exactly once.
+  const fault::InstanceFaults* fault = nullptr;
   const rand::CoinProvider* fault_coins = nullptr;
 
   /// Internal (set by construct_then_decide_plan, not a user option): the

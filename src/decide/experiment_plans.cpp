@@ -13,13 +13,6 @@
 #include "util/timer.h"
 
 namespace lnc::decide {
-namespace {
-
-bool fault_requested(const EvaluateOptions& options) {
-  return options.fault != nullptr && !options.fault->trivial();
-}
-
-}  // namespace
 
 local::ExperimentPlan acceptance_plan(
     std::string name, const local::Instance& inst,
@@ -37,7 +30,7 @@ local::ExperimentPlan acceptance_plan(
     EvaluateOptions trial_options = options;
     trial_options.telemetry = &env.arena->telemetry();
     trial_options.ball = &env.arena->ball_workspace();
-    if (fault_requested(options)) trial_options.fault_coins = &fault_coins;
+    if (fault::engaged(options.fault)) trial_options.fault_coins = &fault_coins;
     const DecisionOutcome outcome =
         evaluate(inst, output, decider, coins, trial_options);
     return outcome.accepted == success_on_accept;
@@ -67,7 +60,7 @@ local::ExperimentPlan construct_then_decide_plan(
     // materialized path's.
     LNC_EXPECTS(mode == local::ExecMode::kBalls);
     LNC_EXPECTS(!options.far_from.has_value());
-    LNC_EXPECTS(!fault_requested(options) &&
+    LNC_EXPECTS(!fault::engaged(options.fault) &&
                 "implicit execution does not support fault models");
     plan.success_trial = [&inst, &algo, &decider, options,
                           success_on_accept](const local::TrialEnv& env) {
@@ -168,7 +161,7 @@ local::ExperimentPlan construct_then_decide_plan(
     EvaluateOptions trial_options = options;
     trial_options.telemetry = &env.arena->telemetry();
     trial_options.ball = &env.arena->ball_workspace();
-    if (fault_requested(options)) {
+    if (fault::engaged(options.fault)) {
       trial_options.fault_coins = &f_coins;
       // The kBalls construction realized this trial's subgraph, links
       // included, into the worker's workspace; the decider reuses it.
@@ -216,7 +209,7 @@ local::ExperimentPlan guarantee_side_plan(
     EvaluateOptions trial_options = options;
     trial_options.telemetry = &arena.telemetry();
     trial_options.ball = &arena.ball_workspace();
-    if (fault_requested(options)) trial_options.fault_coins = &fault_coins;
+    if (fault::engaged(options.fault)) trial_options.fault_coins = &fault_coins;
     const DecisionOutcome outcome =
         evaluate(sample.inst(), sample.output, decider, coins,
                  trial_options);

@@ -56,13 +56,15 @@ std::uint64_t FaultModel::delivery_key(std::uint64_t sender,
   return rand::mix_keys(link_.tag, rand::mix_keys(sender, receiver));
 }
 
-void FaultModel::link_keys(const graph::Graph& g,
-                           std::span<const std::uint64_t> identities,
-                           bool directed, std::vector<std::uint64_t>& keys,
-                           std::vector<std::size_t>& port_slot) const {
+LinkLayout FaultModel::link_keys(const graph::Graph& g,
+                                 std::span<const std::uint64_t> identities,
+                                 bool directed) const {
   const graph::NodeId n = g.node_count();
   LNC_EXPECTS(identities.size() == n);
-  keys.clear();
+  LinkLayout layout;
+  std::vector<std::uint64_t>& keys = layout.keys;
+  std::vector<std::size_t>& port_slot = layout.port_slot;
+  keys.reserve(directed ? g.port_count() : g.port_count() / 2);
   port_slot.resize(g.port_count());
   for (graph::NodeId v = 0; v < n; ++v) {
     const auto nbrs = g.neighbors(v);
@@ -81,6 +83,7 @@ void FaultModel::link_keys(const graph::Graph& g,
       }
     }
   }
+  return layout;
 }
 
 void FaultModel::crash_rounds(const rand::CoinProvider& coins,
@@ -124,24 +127,50 @@ std::shared_ptr<const FaultModel> make_churn(double p_churn) {
       "churn", LinkDraws{LinkFault::kChurn, kChurnTag, p_churn}, CrashDraws{});
 }
 
-void FaultSubgraph::realize(const FaultModel& model,
-                            const rand::CoinProvider& coins,
-                            const graph::Graph& g,
-                            std::span<const std::uint64_t> identities,
-                            bool links) {
+InstanceFaults::InstanceFaults(const FaultModel& model, const graph::Graph& g,
+                               std::span<const std::uint64_t> identities)
+    : model_(&model), g_(&g), identities_(identities) {
   LNC_EXPECTS(identities.size() == g.node_count());
+}
+
+const LinkLayout& InstanceFaults::links(bool directed) const {
+  const std::size_t form = directed ? 1 : 0;
+  std::call_once(laid_out_[form], [&] {
+    layouts_[form] = model_->link_keys(*g_, identities_, directed);
+  });
+  return layouts_[form];
+}
+
+void FaultSubgraph::realize(const InstanceFaults& faults,
+                            const rand::CoinProvider& coins, bool links) {
+  const FaultModel& model = faults.model();
+  const graph::Graph& g = faults.graph();
   g_ = &g;
   kind_ = model.link().kind;
-  model.crash_rounds(coins, identities, crash_rounds_);
+  model.crash_rounds(coins, faults.identities(), crash_rounds_);
+  failed_nodes_ = static_cast<std::uint64_t>(std::count_if(
+      crash_rounds_.begin(), crash_rounds_.end(),
+      [](std::uint64_t round) { return round != kNeverCrashes; }));
+  faulty_edges_ = 0;
   faulty_.assign(g.port_count(), 0);
   if (!links || !model.has_link_faults()) return;
   // One symmetric draw per undirected edge from the reserved slot 0 (the
-  // engine only draws rounds >= 1); both ports of the edge read it.
-  model.link_keys(g, identities, /*directed=*/false, keys_, port_slot_);
-  draws_.resize(keys_.size());
-  coins.draw_column(keys_, 0, draws_);
-  for (std::size_t port = 0; port < faulty_.size(); ++port) {
-    faulty_[port] = model.link_hit(draws_[port_slot_[port]]) ? 1 : 0;
+  // engine only draws rounds >= 1); both ports of the edge read it. The
+  // pass that marks the ports also counts the faulty edges between
+  // survivors, once each at the lower endpoint.
+  const LinkLayout& layout = faults.links(/*directed=*/false);
+  draws_.resize(layout.keys.size());
+  coins.draw_column(layout.keys, 0, draws_);
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    const std::size_t base = g.port_offset(v);
+    const bool survives = !node_blocked(v);
+    for (std::size_t p = 0; p < nbrs.size(); ++p) {
+      if (!model.link_hit(draws_[layout.port_slot[base + p]])) continue;
+      faulty_[base + p] = 1;
+      const graph::NodeId u = nbrs[p];
+      if (survives && v < u && !node_blocked(u)) ++faulty_edges_;
+    }
   }
 }
 

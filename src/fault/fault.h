@@ -21,21 +21,33 @@
 //
 // Two execution paths consume a model:
 //
-//  * the MESSAGE ENGINE (local/engine.cpp) resolves faults round by
-//    round: crash_rounds() fixes every node's crash round once per run,
-//    and each round one column of link draws (slot = the 1-based round)
-//    suppresses individual deliveries. Engine rounds start at 1, so slot
-//    0 is never drawn there;
+//  * the MESSAGE ENGINE (local/engine.cpp and the vector backend in
+//    local/vector_engine.cpp) resolves faults round by round:
+//    crash_rounds() fixes every node's crash round once per run, and each
+//    round one column of link draws (slot = the 1-based round) suppresses
+//    individual deliveries. Engine rounds start at 1, so slot 0 is never
+//    drawn there;
 //  * the BALL PATH (ball collection + decider evaluation) has no rounds.
-//    FaultSubgraph realizes a per-call FAULT SUBGRAPH from the reserved
-//    slot 0 — failed nodes and faulty edges as bits — and serves them to
-//    ball collection as a graph::BallFilter, so collection happens
-//    inside the realized subgraph. Telemetry is charged once per trial
-//    from the same bits (local/experiment.cpp), never by the filter.
+//    FaultSubgraph realizes a per-trial FAULT SUBGRAPH from the reserved
+//    slot 0 — failed nodes and faulty edges as bits, counted as they are
+//    marked — and serves them to ball collection as a graph::BallFilter,
+//    so collection happens inside the realized subgraph. Telemetry is
+//    charged once per trial from those counts (local/experiment.cpp),
+//    never by the filter.
+//
+// Both paths reach a model through an InstanceFaults: the model bound to
+// one materialized instance. Which keys a pass of link draws reads, and
+// which draw each port reads (a LinkLayout), depends only on the graph,
+// the identities, the model and the direction — never on the trial — so
+// the binding lays each layout out once and every FaultSubgraph, engine
+// run and vector batch over that instance reads it. Scenario compilation
+// owns one binding per grid point.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -89,6 +101,15 @@ struct CrashDraws {
   std::uint64_t round_cap = 1;  ///< crash round = 1 + slot-1 draw % cap
 };
 
+/// One pass of link draws over a graph: the draw keys, in draw order,
+/// and for every port the index in `keys` of the draw it reads
+/// (port_slot[g.port_offset(v) + p]; both ports of an undirected edge
+/// read the same draw).
+struct LinkLayout {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::size_t> port_slot;
+};
+
 class FaultModel {
  public:
   FaultModel(std::string name, LinkDraws link, CrashDraws crash,
@@ -120,12 +141,11 @@ class FaultModel {
   /// Lays out the link draws of graph g (identities[v] for node v): one
   /// key per undirected edge (edge_key, in the lower endpoint's port
   /// order) or, when `directed`, one per port (delivery_key: port p of v
-  /// receives from neighbors(v)[p]). port_slot[g.port_offset(v) + p] is
-  /// the index in `keys` of the draw that port reads.
-  void link_keys(const graph::Graph& g,
-                 std::span<const std::uint64_t> identities, bool directed,
-                 std::vector<std::uint64_t>& keys,
-                 std::vector<std::size_t>& port_slot) const;
+  /// receives from neighbors(v)[p]). Consumers read layouts through
+  /// InstanceFaults::links, which calls this once per direction.
+  LinkLayout link_keys(const graph::Graph& g,
+                       std::span<const std::uint64_t> identities,
+                       bool directed) const;
 
   /// Every node's first 1-based crash round (kNeverCrashes if it never
   /// crashes), in one batched pass: out[i] belongs to identities[i].
@@ -151,20 +171,59 @@ std::shared_ptr<const FaultModel> make_crash(double p_crash,
                                              std::uint64_t crash_round_cap);
 std::shared_ptr<const FaultModel> make_churn(double p_churn);
 
-/// The realized round-0 fault subgraph of one materialized graph, drawn
-/// once per realize() call with batched draws: a crash round per node and
-/// a faulty bit per port (both ports of an edge share one draw). As a
-/// graph::BallFilter it lets ball collection happen inside the subgraph;
-/// queries read bits and never draw. `identities[v]` is the identity the
-/// model keys node v's draws by — the same identities the engine path
-/// uses, so both paths censor the same nodes.
+/// A fault model bound to one materialized instance: the model, the
+/// graph and the identities its draws are keyed by (identities[v] for
+/// node v, the same identities on every path, so the engine and the ball
+/// path censor the same nodes). The link layouts are trial-invariant, so
+/// each direction is laid out at most once per binding, on first use,
+/// and then shared read-only — by every trial's FaultSubgraph, every
+/// engine run and every vector batch over the instance. Thread-safe. The
+/// binding refers to the model, graph and identities without owning
+/// them; they must outlive it.
+class InstanceFaults {
+ public:
+  InstanceFaults(const FaultModel& model, const graph::Graph& g,
+                 std::span<const std::uint64_t> identities);
+
+  const FaultModel& model() const noexcept { return *model_; }
+  const graph::Graph& graph() const noexcept { return *g_; }
+  std::span<const std::uint64_t> identities() const noexcept {
+    return identities_;
+  }
+
+  /// The layout of the model's link draws over the instance, one key per
+  /// undirected edge or, when `directed`, one per port
+  /// (FaultModel::link_keys).
+  const LinkLayout& links(bool directed) const;
+
+ private:
+  const FaultModel* model_;
+  const graph::Graph* g_;
+  std::span<const std::uint64_t> identities_;
+  mutable std::array<std::once_flag, 2> laid_out_;
+  mutable std::array<LinkLayout, 2> layouts_;  // [directed]
+};
+
+/// Whether `faults` realizes anything: bound (non-null) and not the
+/// trivial `none` model. Every consumer bypasses the fault machinery
+/// otherwise.
+inline bool engaged(const InstanceFaults* faults) noexcept {
+  return faults != nullptr && !faults->model().trivial();
+}
+
+/// The realized round-0 fault subgraph of one materialized instance,
+/// drawn once per realize() call with batched draws over the binding's
+/// shared edge layout: a crash round per node and a faulty bit per port
+/// (both ports of an edge share one draw). As a graph::BallFilter it lets
+/// ball collection happen inside the subgraph; queries read bits and
+/// never draw. realize() also counts what it realized, for the ball
+/// path's telemetry charge.
 class FaultSubgraph final : public graph::BallFilter {
  public:
   /// `links` = false skips the link draws, for consumers that query no
   /// edge (radius-0 balls, no telemetry charge): every edge reads intact.
-  void realize(const FaultModel& model, const rand::CoinProvider& coins,
-               const graph::Graph& g,
-               std::span<const std::uint64_t> identities, bool links = true);
+  void realize(const InstanceFaults& faults, const rand::CoinProvider& coins,
+               bool links = true);
 
   /// What a faulty edge of this subgraph charges (kDrop or kChurn).
   LinkFault link_kind() const noexcept { return kind_; }
@@ -178,19 +237,20 @@ class FaultSubgraph final : public graph::BallFilter {
   }
   bool edge_blocked(graph::NodeId a, graph::NodeId b) const override;
 
-  /// Whether port p of v (the edge to g.neighbors(v)[p]) is faulty.
-  bool port_blocked(graph::NodeId v, std::size_t p) const noexcept {
-    return faulty_[g_->port_offset(v) + p] != 0;
-  }
+  /// Failed nodes of this realization.
+  std::uint64_t failed_nodes() const noexcept { return failed_nodes_; }
+  /// Faulty edges between two surviving nodes, each undirected edge
+  /// counted once (at its lower endpoint); 0 when realized without links.
+  std::uint64_t faulty_edges() const noexcept { return faulty_edges_; }
 
  private:
   const graph::Graph* g_ = nullptr;
   LinkFault kind_ = LinkFault::kNone;
   std::vector<std::uint64_t> crash_rounds_;
   std::vector<char> faulty_;  // per port, indexed by g.port_offset(v) + p
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::size_t> port_slot_;
-  std::vector<std::uint64_t> draws_;
+  std::vector<std::uint64_t> draws_;  // one per key of the edge layout
+  std::uint64_t failed_nodes_ = 0;
+  std::uint64_t faulty_edges_ = 0;
 };
 
 }  // namespace lnc::fault

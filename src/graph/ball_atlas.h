@@ -11,7 +11,9 @@
 // BallAtlasCache maps (Graph::uid(), radius) to an atlas. The batch runner
 // (local/batch_runner.h) owns one, so an atlas lives exactly as long as
 // the runner: one sweep, or one serve query. Censored collections (fault
-// filters), implicit topologies and cold arenas never consult it.
+// filters) at radius >= 1, implicit topologies and cold arenas never
+// consult it; a censored radius-0 ball is the center alone, so censored
+// radius-0 runs read the atlas too (local/ball_source.h).
 #pragma once
 
 #include <array>

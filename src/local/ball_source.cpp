@@ -21,7 +21,11 @@ BallSource::BallSource(const Instance& inst, int radius,
       implicit_(inst.implicit.get()),
       radius_(radius),
       filter_(filter) {
-  if (filter == nullptr && implicit_ == nullptr && atlases != nullptr) {
+  // A radius-0 ball is its center alone, and every filter exempts the
+  // center, so a censored radius-0 ball IS the atlas ball; callers skip
+  // blocked centers themselves.
+  if ((filter == nullptr || radius == 0) && implicit_ == nullptr &&
+      atlases != nullptr) {
     atlas_ = atlases->atlas(inst.g, radius);
   }
 }

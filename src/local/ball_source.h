@@ -46,10 +46,12 @@ class BallWorkspace {
 };
 
 /// One run's balls of `inst` at one radius. The atlas serves them when the
-/// run is unfiltered over a materialized instance and `atlases` carries
-/// one; otherwise every ball is collected, through the CSR path for a
-/// materialized graph and through neighbors_of for an implicit topology
-/// (the choice is made here, once per run).
+/// run is over a materialized instance, `atlases` carries one, and the
+/// run is unfiltered or at radius 0 (a censored radius-0 ball is the
+/// center alone, like the atlas's); otherwise every ball is collected,
+/// through the CSR path for a materialized graph and through
+/// neighbors_of for an implicit topology (the choice is made here, once
+/// per run).
 class BallSource {
  public:
   BallSource(const Instance& inst, int radius,

@@ -98,26 +98,30 @@ EngineResult run_engine(const Instance& inst,
   s.last_factory_name_ = factory.name();
 
   // Resolve the adversary once per run: crash rounds are pure per-node
-  // draws, and the link draws' keys depend only on the identities, so
-  // they are laid out here — one per undirected edge for churn, one per
-  // port (directed delivery) for drop. Each round then fills all of its
-  // link draws with one batched column (slot = the round).
-  const bool fault_active =
-      options.fault != nullptr && !options.fault->trivial();
-  const bool link_faults = fault_active && options.fault->has_link_faults();
-  const bool churn = link_faults && options.fault->link().kind ==
-                                        fault::LinkFault::kChurn;
+  // draws. The link draws' keys depend only on the identities, so the
+  // binding laid them out once for every run over this instance — one
+  // per undirected edge for churn, one per port (directed delivery) for
+  // drop. Each round then fills all of its link draws with one batched
+  // column (slot = the round).
+  const bool fault_active = fault::engaged(options.fault);
+  const fault::FaultModel* model =
+      fault_active ? &options.fault->model() : nullptr;
+  const bool link_faults = fault_active && model->has_link_faults();
+  const bool churn =
+      link_faults && model->link().kind == fault::LinkFault::kChurn;
+  const fault::LinkLayout* links = nullptr;
   if (fault_active) {
     LNC_EXPECTS(options.fault_coins != nullptr &&
                 "non-trivial fault model requires its coin stream");
-    options.fault->crash_rounds(*options.fault_coins, inst.ids.raw(),
-                                s.crash_rounds_);
+    LNC_EXPECTS(&options.fault->graph() == &inst.g &&
+                "fault binding belongs to another instance");
+    model->crash_rounds(*options.fault_coins, options.fault->identities(),
+                        s.crash_rounds_);
     s.dead_.assign(n, 0);
   }
   if (link_faults) {
-    options.fault->link_keys(inst.g, inst.ids.raw(), /*directed=*/!churn,
-                             s.link_keys_, s.port_slot_);
-    s.link_draws_.resize(s.link_keys_.size());
+    links = &options.fault->links(/*directed=*/!churn);
+    s.link_draws_.resize(links->keys.size());
     s.suppressed_.assign(inst.g.port_count(), 0);
   }
 
@@ -197,9 +201,8 @@ EngineResult run_engine(const Instance& inst,
     // was realized. Every draw is keyed by (identities, round), so the
     // bitmap — and the counters — are independent of thread count.
     if (link_faults) {
-      const fault::FaultModel& model = *options.fault;
       options.fault_coins->draw_column(
-          s.link_keys_, static_cast<std::uint64_t>(round), s.link_draws_);
+          links->keys, static_cast<std::uint64_t>(round), s.link_draws_);
       for (graph::NodeId v = 0; v < n; ++v) {
         const auto nbrs = inst.g.neighbors(v);
         for (std::size_t p = 0; p < nbrs.size(); ++p) {
@@ -208,7 +211,7 @@ EngineResult run_engine(const Instance& inst,
           char& slot = s.suppressed_[port];
           slot = 0;
           if (churn) {
-            if (model.link_hit(s.link_draws_[s.port_slot_[port]])) {
+            if (model->link_hit(s.link_draws_[links->port_slot[port]])) {
               slot = 1;
               // One (edge, round) deactivation == one churn event; count
               // it at the lower endpoint so each unordered pair counts
@@ -223,7 +226,7 @@ EngineResult run_engine(const Instance& inst,
               s.store_.message(u).empty()) {
             continue;
           }
-          if (model.link_hit(s.link_draws_[s.port_slot_[port]])) {
+          if (model->link_hit(s.link_draws_[links->port_slot[port]])) {
             slot = 1;
             ++run_telemetry.messages_dropped;
           }

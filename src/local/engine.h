@@ -37,7 +37,7 @@
 #include "rand/coins.h"
 
 namespace lnc::fault {
-class FaultModel;
+class InstanceFaults;
 }
 
 namespace lnc::local {
@@ -222,13 +222,11 @@ class EngineScratch {
   MessageStore store_;
   // Fault-pass storage (sized/filled only when a non-trivial fault model
   // is active): per-node crash rounds and dead flags; with link faults,
-  // the run's link-draw keys, one round's draws, each port's draw slot
-  // and the per-port suppression bitmap (ports: Graph::port_offset).
+  // one round's draws (over the binding's shared link layout) and the
+  // per-port suppression bitmap (ports: Graph::port_offset).
   std::vector<std::uint64_t> crash_rounds_;
   std::vector<char> dead_;
-  std::vector<std::uint64_t> link_keys_;
   std::vector<std::uint64_t> link_draws_;
-  std::vector<std::size_t> port_slot_;
   std::vector<char> suppressed_;
   // Which factory populated programs_ — recycling is only attempted when
   // the same factory (by address AND name, to survive address reuse) runs
@@ -251,14 +249,15 @@ struct EngineOptions {
   bool grant_ring_orientation = false;  ///< expose succ_port on cycle()
   const rand::CoinProvider* coins = nullptr;  ///< null => deterministic
 
-  /// Optional adversary (src/fault/). When `fault` is non-null and
-  /// non-trivial, `fault_coins` must be set (the trial's dedicated fault
-  /// stream): crashed nodes fall silent from their crash round onward and
-  /// output 0, dropped/churned deliveries read as silence, and the fault
-  /// telemetry counters measure what was realized. All draws are keyed by
+  /// Optional adversary (src/fault/). When `fault` is engaged (bound to
+  /// the instance being run and non-trivial), `fault_coins` must be set
+  /// (the trial's dedicated fault stream): crashed nodes fall silent from
+  /// their crash round onward and output 0, dropped/churned deliveries
+  /// read as silence, and the fault telemetry counters measure what was
+  /// realized. All draws are keyed by
   /// node identities and the round index — never by schedule — so faulty
   /// runs stay bit-identical across thread counts and shards.
-  const fault::FaultModel* fault = nullptr;
+  const fault::InstanceFaults* fault = nullptr;
   const rand::CoinProvider* fault_coins = nullptr;
 
   /// Keep the per-node programs alive in EngineResult::programs so callers

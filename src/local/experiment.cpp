@@ -9,17 +9,13 @@
 namespace lnc::local {
 namespace {
 
-bool fault_engaged(const ExecOptions& options) {
-  return options.fault != nullptr && !options.fault->trivial();
-}
-
 /// Shared kBalls fault plumbing: censor the run and charge the realized
 /// faults (once per trial — this is the ball path's ONLY charging site).
 template <typename RunBody>
 void run_censored_balls(const Instance& inst, int radius,
                         const ExecOptions& options, RunOptions& run_options,
                         RunBody&& run) {
-  if (!fault_engaged(options)) {
+  if (!fault::engaged(options.fault)) {
     run();
     return;
   }
@@ -27,17 +23,23 @@ void run_censored_balls(const Instance& inst, int radius,
               "non-trivial fault model requires its coin stream");
   LNC_EXPECTS(!inst.is_implicit() &&
               "fault censoring requires a materialized instance");
+  LNC_EXPECTS(&options.fault->graph() == &inst.g &&
+              "fault binding belongs to another instance");
   std::optional<fault::FaultSubgraph> local_censor;
   fault::FaultSubgraph& censor = options.arena != nullptr
                                      ? options.arena->ball_workspace().faults
                                      : local_censor.emplace();
   // Edges matter to balls of radius >= 1 and to the telemetry charge.
-  censor.realize(*options.fault, *options.fault_coins, inst.g,
-                 inst.ids.raw(), radius > 0 || options.arena != nullptr);
+  const bool charge = options.arena != nullptr;
+  censor.realize(*options.fault, *options.fault_coins, radius > 0 || charge);
   run_options.ball_filter = &censor;
   run();
-  if (options.arena != nullptr) {
-    charge_fault_telemetry(inst.g, censor, options.arena->telemetry());
+  if (charge) {
+    Telemetry& telemetry = options.arena->telemetry();
+    telemetry.nodes_crashed += censor.failed_nodes();
+    (censor.link_kind() == fault::LinkFault::kDrop
+         ? telemetry.messages_dropped
+         : telemetry.edges_churned) += censor.faulty_edges();
   }
 }
 
@@ -157,29 +159,6 @@ void run_two_phase_mode(const Instance& inst, int radius,
 
 }  // namespace
 
-void charge_fault_telemetry(const graph::Graph& g,
-                            const fault::FaultSubgraph& faults,
-                            Telemetry& telemetry) {
-  const graph::NodeId n = g.node_count();
-  std::uint64_t& faulty_edges =
-      faults.link_kind() == fault::LinkFault::kDrop ? telemetry.messages_dropped
-                                                    : telemetry.edges_churned;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (faults.node_blocked(v)) {
-      ++telemetry.nodes_crashed;
-      continue;
-    }
-    const auto nbrs = g.neighbors(v);
-    for (std::size_t p = 0; p < nbrs.size(); ++p) {
-      // Each surviving undirected edge counts once (lower endpoint).
-      const graph::NodeId w = nbrs[p];
-      if (w > v && !faults.node_blocked(w) && faults.port_blocked(v, p)) {
-        ++faulty_edges;
-      }
-    }
-  }
-}
-
 const char* to_string(ExecMode mode) noexcept {
   return kExecModeNames.name(mode);
 }
@@ -201,7 +180,7 @@ void run_construction_into(const Instance& inst, const BallAlgorithm& algo,
       return;
     }
     case ExecMode::kMessages:
-      LNC_EXPECTS(!fault_engaged(options) &&
+      LNC_EXPECTS(!fault::engaged(options.fault) &&
                   "simulation modes do not support fault models");
       run_messages_mode(
           inst, algo.name(), algo.radius(),
@@ -209,7 +188,7 @@ void run_construction_into(const Instance& inst, const BallAlgorithm& algo,
           options);
       return;
     case ExecMode::kTwoPhase:
-      LNC_EXPECTS(!fault_engaged(options) &&
+      LNC_EXPECTS(!fault::engaged(options.fault) &&
                   "simulation modes do not support fault models");
       run_two_phase_mode(
           inst, algo.radius(),
@@ -237,7 +216,7 @@ void run_construction_into(const Instance& inst,
       return;
     }
     case ExecMode::kMessages:
-      LNC_EXPECTS(!fault_engaged(options) &&
+      LNC_EXPECTS(!fault::engaged(options.fault) &&
                   "simulation modes do not support fault models");
       run_messages_mode(
           inst, algo.name(), algo.radius(),
@@ -249,7 +228,7 @@ void run_construction_into(const Instance& inst,
           output, options);
       return;
     case ExecMode::kTwoPhase:
-      LNC_EXPECTS(!fault_engaged(options) &&
+      LNC_EXPECTS(!fault::engaged(options.fault) &&
                   "simulation modes do not support fault models");
       run_two_phase_mode(
           inst, algo.radius(),
@@ -283,21 +262,17 @@ ExperimentPlan construction_plan(std::string name, const Instance& inst,
                                  const RandomizedBallAlgorithm& algo,
                                  OutputPredicate predicate,
                                  std::uint64_t trials, std::uint64_t base_seed,
-                                 ExecMode mode, bool grant_n,
-                                 const fault::FaultModel* fault) {
+                                 ExecMode mode, bool grant_n) {
   ExperimentPlan plan;
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
   plan.success_trial = [&inst, &algo, predicate = std::move(predicate), mode,
-                        grant_n, fault](const TrialEnv& env) {
+                        grant_n](const TrialEnv& env) {
     const rand::PhiloxCoins coins = env.construction_coins();
-    const rand::PhiloxCoins fault_coins = env.fault_coins();
     ExecOptions options;
     options.grant_n = grant_n;
     options.arena = env.arena;
-    options.fault = fault;
-    options.fault_coins = &fault_coins;
     Labeling& output = env.arena->labeling();
     run_construction_into(inst, algo, coins, mode, output, options);
     return predicate(inst, output);
@@ -309,20 +284,17 @@ ExperimentPlan construction_value_plan(
     std::string name, const Instance& inst,
     const RandomizedBallAlgorithm& algo, OutputStatistic statistic,
     std::uint64_t trials, std::uint64_t base_seed, ExecMode mode,
-    bool grant_n, const fault::FaultModel* fault) {
+    bool grant_n) {
   ExperimentPlan plan;
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
   plan.value_trial = [&inst, &algo, statistic = std::move(statistic), mode,
-                      grant_n, fault](const TrialEnv& env) {
+                      grant_n](const TrialEnv& env) {
     const rand::PhiloxCoins coins = env.construction_coins();
-    const rand::PhiloxCoins fault_coins = env.fault_coins();
     ExecOptions options;
     options.grant_n = grant_n;
     options.arena = env.arena;
-    options.fault = fault;
-    options.fault_coins = &fault_coins;
     Labeling& output = env.arena->labeling();
     run_construction_into(inst, algo, coins, mode, output, options);
     return statistic(inst, output);

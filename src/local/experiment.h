@@ -24,8 +24,7 @@
 #include "local/simulate.h"
 
 namespace lnc::fault {
-class FaultModel;
-class FaultSubgraph;
+class InstanceFaults;
 }
 
 namespace lnc::local {
@@ -44,28 +43,20 @@ struct ExecOptions {
   /// Reusable per-worker storage; null uses call-local scratch.
   WorkerArena* arena = nullptr;
 
-  /// Optional adversary (src/fault/): when `fault` is non-null and
-  /// non-trivial, `fault_coins` must be the trial's dedicated fault
-  /// stream. Only kBalls honors faults here — every ball is collected in
-  /// the trial's realized fault subgraph and the realized faults are
-  /// charged to the arena telemetry once per trial. The simulation modes
+  /// Optional adversary (src/fault/): when `fault` is engaged (bound and
+  /// non-trivial; it must be bound to the instance being run),
+  /// `fault_coins` must be the trial's dedicated fault stream. Only kBalls
+  /// honors faults here — every ball is collected in the trial's realized
+  /// fault subgraph, and the realized faults are charged to the arena
+  /// telemetry once per trial: every failed node (nodes_crashed) and,
+  /// between surviving nodes, every faulty edge (messages_dropped for a
+  /// drop model, edges_churned for churn). The simulation modes
   /// (kMessages/kTwoPhase) assert the model away; scenario validation
   /// never routes a faulty spec at them. Engine-backed constructions
   /// apply faults through EngineOptions instead (scenario/builtins.cpp).
-  const fault::FaultModel* fault = nullptr;
+  const fault::InstanceFaults* fault = nullptr;
   const rand::CoinProvider* fault_coins = nullptr;
 };
-
-/// Tallies the realized fault subgraph of one trial into `telemetry`:
-/// every failed node (nodes_crashed) and, between surviving nodes, every
-/// faulty edge (messages_dropped for a drop model, edges_churned for
-/// churn). Reads the subgraph's bits — a pure function of (model, fault
-/// coins, instance identities) — and is the ball path's deterministic
-/// fault accounting, charged exactly once per trial by
-/// run_construction_into.
-void charge_fault_telemetry(const graph::Graph& g,
-                            const fault::FaultSubgraph& faults,
-                            Telemetry& telemetry);
 
 /// Runs a deterministic construction algorithm in the given mode.
 void run_construction_into(const Instance& inst, const BallAlgorithm& algo,
@@ -93,23 +84,19 @@ using OutputStatistic =
     std::function<double(const Instance&, const Labeling&)>;
 
 /// Pr over fresh construction coins that predicate(inst, C(inst)) holds.
-/// The referenced instance, algorithm, and fault model (when non-null: a
-/// per-trial fault stream is derived from each TrialEnv) must outlive the
-/// plan's run.
+/// The referenced instance and algorithm must outlive the plan's run.
 ExperimentPlan construction_plan(std::string name, const Instance& inst,
                                  const RandomizedBallAlgorithm& algo,
                                  OutputPredicate predicate,
                                  std::uint64_t trials, std::uint64_t base_seed,
                                  ExecMode mode = ExecMode::kBalls,
-                                 bool grant_n = false,
-                                 const fault::FaultModel* fault = nullptr);
+                                 bool grant_n = false);
 
 /// Mean over fresh construction coins of statistic(inst, C(inst)).
 ExperimentPlan construction_value_plan(
     std::string name, const Instance& inst,
     const RandomizedBallAlgorithm& algo, OutputStatistic statistic,
     std::uint64_t trials, std::uint64_t base_seed,
-    ExecMode mode = ExecMode::kBalls, bool grant_n = false,
-    const fault::FaultModel* fault = nullptr);
+    ExecMode mode = ExecMode::kBalls, bool grant_n = false);
 
 }  // namespace lnc::local

@@ -65,14 +65,12 @@ std::size_t VectorBatch::footprint_bytes() const noexcept {
           active_counts_.capacity() + dead_counts_.capacity()) *
              sizeof(std::uint32_t) +
          (draw_hi_.capacity() + draw_lo_.capacity() + fault_keys_.capacity() +
-          crash_rounds_.capacity() + link_keys_.capacity() +
-          link_draws_.capacity() + dropped_.capacity() +
-          churned_.capacity()) *
+          crash_rounds_.capacity() + link_draws_.capacity() +
+          dropped_.capacity() + churned_.capacity()) *
              sizeof(std::uint64_t) +
          dead_.capacity() + silent_.capacity() +
          crashes_.capacity() * sizeof(Crash) +
-         (crash_next_.capacity() + crash_end_.capacity() +
-          port_slot_.capacity()) *
+         (crash_next_.capacity() + crash_end_.capacity()) *
              sizeof(std::size_t);
 }
 
@@ -103,17 +101,20 @@ void VectorBatch::compact_active(std::uint32_t trial) noexcept {
   active_counts_[trial] = kept;
 }
 
-void VectorBatch::reset_faults(const fault::FaultModel* fault,
+void VectorBatch::reset_faults(const fault::InstanceFaults* fault,
                                std::span<const std::uint64_t> fault_keys) {
-  fault_ = fault != nullptr && !fault->trivial() ? fault : nullptr;
+  fault_ = fault::engaged(fault) ? &fault->model() : nullptr;
   if (fault_ == nullptr) return;
   LNC_EXPECTS(fault_keys.size() == trials_ &&
               "non-trivial fault model requires every trial's fault key");
-  // Resolve the adversary once per batch: every trial's crash schedule,
-  // and the link keys (pure functions of the identities, shared by all
-  // trials) — the same layout run_engine draws its columns over.
+  LNC_EXPECTS(&fault->graph() == &inst_->g &&
+              "fault binding belongs to another instance");
+  // Resolve the adversary once per batch: every trial's crash schedule.
+  // The link keys are pure functions of the identities, shared by all
+  // trials and batches: the binding's layout, the same one run_engine
+  // draws its columns over.
   const graph::Graph& g = inst_->g;
-  churn_ = fault->link().kind == fault::LinkFault::kChurn;
+  churn_ = fault_->link().kind == fault::LinkFault::kChurn;
   ports_ = g.port_count();
   fault_keys_.assign(fault_keys.begin(), fault_keys.end());
   dead_.assign(static_cast<std::size_t>(trials_) * n_, 0);
@@ -125,8 +126,8 @@ void VectorBatch::reset_faults(const fault::FaultModel* fault,
   crash_next_.resize(trials_);
   crash_end_.resize(trials_);
   for (std::uint32_t t = 0; t < trials_; ++t) {
-    fault->crash_rounds(rand::PhiloxCoins::from_key(fault_keys[t]),
-                        inst_->ids.raw(), crash_rounds_);
+    fault_->crash_rounds(rand::PhiloxCoins::from_key(fault_keys[t]),
+                         fault->identities(), crash_rounds_);
     crash_next_[t] = crashes_.size();
     for (std::uint32_t v = 0; v < n_; ++v) {
       if (crash_rounds_[v] != fault::kNeverCrashes) {
@@ -139,10 +140,10 @@ void VectorBatch::reset_faults(const fault::FaultModel* fault,
               crashes_.end(),
               [](const Crash& a, const Crash& b) { return a.round < b.round; });
   }
-  if (fault->has_link_faults()) {
-    fault->link_keys(g, inst_->ids.raw(), /*directed=*/!churn_, link_keys_,
-                     port_slot_);
-    link_draws_.resize(link_keys_.size());
+  links_ = nullptr;
+  if (fault_->has_link_faults()) {
+    links_ = &fault->links(/*directed=*/!churn_);
+    link_draws_.resize(links_->keys.size());
   }
 }
 
@@ -183,7 +184,7 @@ void VectorBatch::realize_faults(std::uint32_t t, int round) {
   // delivery to lose (a live sender and a receiver still running; drop
   // draws one key per port, in port order).
   rand::PhiloxCoins::from_key(fault_keys_[t])
-      .draw_column(link_keys_, r, link_draws_);
+      .draw_column(links_->keys, r, link_draws_);
   if (churn_) {
     std::uint64_t hits = 0;
     for (std::uint64_t& draw : link_draws_) {
@@ -192,7 +193,7 @@ void VectorBatch::realize_faults(std::uint32_t t, int round) {
     }
     churned_[t] += hits;
     for (std::size_t port = 0; port < ports_; ++port) {
-      silent[port] = static_cast<char>(link_draws_[port_slot_[port]]);
+      silent[port] = static_cast<char>(link_draws_[links_->port_slot[port]]);
     }
     if (dead_counts_[t] == 0) return;
     for (graph::NodeId v = 0; v < n_; ++v) {
@@ -215,7 +216,7 @@ void VectorBatch::realize_faults(std::uint32_t t, int round) {
 
 void run_vector_batch(const Instance& inst, const NodeProgramFactory& factory,
                       std::span<const std::uint64_t> coin_keys,
-                      const fault::FaultModel* fault,
+                      const fault::InstanceFaults* fault,
                       std::span<const std::uint64_t> fault_keys,
                       VectorScratch& scratch, Telemetry* accumulate,
                       const VectorFinish& finish) {

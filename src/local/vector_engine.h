@@ -57,6 +57,8 @@
 
 namespace lnc::fault {
 class FaultModel;
+class InstanceFaults;
+struct LinkLayout;
 }  // namespace lnc::fault
 
 namespace lnc::local {
@@ -237,7 +239,7 @@ class VectorBatch {
   friend void run_vector_batch(const Instance& inst,
                                const NodeProgramFactory& factory,
                                std::span<const std::uint64_t> coin_keys,
-                               const fault::FaultModel* fault,
+                               const fault::InstanceFaults* fault,
                                std::span<const std::uint64_t> fault_keys,
                                VectorScratch& scratch, Telemetry* accumulate,
                                const VectorFinish& finish);
@@ -251,8 +253,8 @@ class VectorBatch {
   std::size_t footprint_bytes() const noexcept;
   /// Drops the halted nodes from a trial's active list.
   void compact_active(std::uint32_t trial) noexcept;
-  /// Arms the batch for `fault` (null or trivial: fault-free).
-  void reset_faults(const fault::FaultModel* fault,
+  /// Arms the batch for `fault` (not engaged: fault-free).
+  void reset_faults(const fault::InstanceFaults* fault,
                     std::span<const std::uint64_t> fault_keys);
   /// The fault pass of `round` for one live trial (see the file comment).
   void realize_faults(std::uint32_t trial, int round);
@@ -289,8 +291,7 @@ class VectorBatch {
   std::vector<std::size_t> crash_next_;  // per trial: next in crashes_
   std::vector<std::size_t> crash_end_;   // per trial: end in crashes_
   std::vector<std::uint64_t> crash_rounds_;  // one trial's crash draws
-  std::vector<std::uint64_t> link_keys_;     // per link draw, whole batch
-  std::vector<std::size_t> port_slot_;       // port -> link_keys_ index
+  const fault::LinkLayout* links_ = nullptr;  // the binding's, read-only
   std::vector<std::uint64_t> link_draws_;    // one trial's round column
   std::vector<std::uint64_t> dropped_;  // per trial: messages_dropped
   std::vector<std::uint64_t> churned_;  // per trial: edges_churned
@@ -353,7 +354,7 @@ class VectorScratch {
   friend void run_vector_batch(const Instance& inst,
                                const NodeProgramFactory& factory,
                                std::span<const std::uint64_t> coin_keys,
-                               const fault::FaultModel* fault,
+                               const fault::InstanceFaults* fault,
                                std::span<const std::uint64_t> fault_keys,
                                VectorScratch& scratch, Telemetry* accumulate,
                                const VectorFinish& finish);
@@ -371,18 +372,18 @@ class VectorScratch {
 /// vector program (factory.create_vector() must be non-null) on `inst`.
 /// coin_keys[t] is trial t's construction-coin Philox key — the exact
 /// PhiloxCoins key the scalar engine would have been handed, so draws
-/// match bit for bit. With a non-null, non-trivial `fault`, the batch
-/// runs under that model: fault_keys[t] is trial t's fault-coin key
-/// (TrialEnv::fault_coins().key()), and a trial still running after
-/// kFaultMaxRounds rounds stops there with its current outputs, as the
-/// scalar engine construction does. Otherwise `fault_keys` is ignored.
-/// `finish` receives each trial's result (VectorFinish). The deltas (plus
-/// the batch arena high-water mark) are merged into `accumulate` when
-/// non-null — the per-worker accumulator the batch runner reads, exactly
-/// like EngineScratch::telemetry().
+/// match bit for bit. With an engaged `fault` (fault::engaged, bound to
+/// `inst`), the batch runs under that model: fault_keys[t] is trial t's
+/// fault-coin key (TrialEnv::fault_coins().key()), and a trial still
+/// running after kFaultMaxRounds rounds stops there with its current
+/// outputs, as the scalar engine construction does. Otherwise
+/// `fault_keys` is ignored. `finish` receives each trial's result
+/// (VectorFinish). The deltas (plus the batch arena high-water mark) are
+/// merged into `accumulate` when non-null — the per-worker accumulator
+/// the batch runner reads, exactly like EngineScratch::telemetry().
 void run_vector_batch(const Instance& inst, const NodeProgramFactory& factory,
                       std::span<const std::uint64_t> coin_keys,
-                      const fault::FaultModel* fault,
+                      const fault::InstanceFaults* fault,
                       std::span<const std::uint64_t> fault_keys,
                       VectorScratch& scratch, Telemetry* accumulate,
                       const VectorFinish& finish);

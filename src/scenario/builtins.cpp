@@ -412,7 +412,7 @@ class BallConstruction final : public Construction {
     const rand::PhiloxCoins fault_coins = env.fault_coins();
     local::ExecOptions options;
     options.arena = env.arena;
-    if (run_options.fault != nullptr && !run_options.fault->trivial()) {
+    if (fault::engaged(run_options.fault)) {
       options.fault = run_options.fault;
       options.fault_coins = &fault_coins;
     }
@@ -446,8 +446,7 @@ class EngineConstruction final : public Construction {
     local::EngineOptions options;
     if (randomized_) options.coins = &coins;
     if (env.arena != nullptr) options.scratch = &env.arena->engine();
-    const bool faulty =
-        run_options.fault != nullptr && !run_options.fault->trivial();
+    const bool faulty = fault::engaged(run_options.fault);
     if (faulty) {
       options.fault = run_options.fault;
       options.fault_coins = &fault_coins;
@@ -541,15 +540,23 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
     for (graph::NodeId v = 0; v < size; ++v) {
       within[static_cast<std::size_t>(ball.distance(v))] = v + 1;
     }
-    // Only what the center's final state depends on is simulated. With
-    // `reach` / 2 phases left after this one, a state update matters
-    // within distance `reach`, a win test one hop further (updates read
-    // the neighbours' wins), a priority one more hop (win tests read the
-    // neighbours' priorities).
+    // Only what the output — did the center join? — depends on is
+    // simulated. At phase j let reach = 2(K-1-j). Invariant: at the start
+    // of phase j the states within distance reach + 1 equal the full-ball
+    // simulation's (at j = 0 every state is undecided). The phase draws
+    // priorities within reach + 1 and tests wins within reach; a win test
+    // reads the member's and its neighbours' states and priorities, all
+    // within reach + 1, so those wins are exact. A state update reads the
+    // neighbours' wins, so states within reach - 1 — every neighbour
+    // tested — come out exact, and reach - 1 is the next phase's
+    // reach + 1. At the last phase (reach = 0) only the center is tested:
+    // its own win is exact, and a center left undecided here outputs 0
+    // exactly as one the full simulation marks out. The early exit reads
+    // the center's state after phases j < K-1, where it is exact.
     for (int phase = 0; phase < phases_; ++phase) {
       const auto reach = static_cast<std::size_t>(2 * (phases_ - 1 - phase));
-      const graph::NodeId tested = within[reach + 1];
-      const graph::NodeId drawn = within[reach + 2];
+      const graph::NodeId tested = within[reach];
+      const graph::NodeId drawn = within[reach + 1];
       for (graph::NodeId v = 0; v < drawn; ++v) {
         if (state[v] == 0) {
           priority[v] = view.coin(v, static_cast<std::uint64_t>(phase));
@@ -574,8 +581,8 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
       }
       // Two adjacent undecided nodes never both win (strict total order by
       // (priority, identity)), so applying joins in index order is safe.
-      // Every neighbour of a member within `reach` is tested, so the
-      // states there come out exact; the ones beyond are never read again.
+      // States beyond reach - 1 may now differ from the full simulation's;
+      // they are never read as exact again.
       for (graph::NodeId v = 0; v < tested; ++v) {
         if (wins[v] == 0) continue;
         state[v] = 1;

@@ -131,13 +131,14 @@ class Construction {
     int rounds = 0;  ///< LOCAL rounds executed (0 for zero-round/ball runs)
   };
 
-  /// Per-run knobs beyond the TrialEnv. A non-null, non-trivial `fault`
-  /// runs the construction under that adversary (drawing from the trial's
-  /// fault_coins()); only fault-capable constructions accept one —
-  /// scenario validation enforces the flag. A run is one sequential
-  /// trial: Monte-Carlo sweeps parallelize across trials.
+  /// Per-run knobs beyond the TrialEnv. An engaged `fault` (bound to the
+  /// instance being run) runs the construction under that adversary
+  /// (drawing from the trial's fault_coins()); only fault-capable
+  /// constructions accept one — scenario validation enforces the flag. A
+  /// run is one sequential trial: Monte-Carlo sweeps parallelize across
+  /// trials.
   struct RunOptions {
-    const fault::FaultModel* fault = nullptr;
+    const fault::InstanceFaults* fault = nullptr;
   };
 
   virtual ~Construction() = default;

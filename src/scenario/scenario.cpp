@@ -320,10 +320,6 @@ CompiledScenario compile(const ScenarioSpec& spec) {
                             engine_factory->create_vector() != nullptr;
   const bool accept = spec.success_on_accept;
 
-  decide::EvaluateOptions eval_options;
-  eval_options.grant_n = decider_entry->needs_n;
-  eval_options.fault = fault;
-
   // Value/counter workloads evaluate a registered statistic per trial.
   // Registry entries are process-lifetime, so plans may capture the entry.
   const StatisticEntry* statistic =
@@ -336,19 +332,20 @@ CompiledScenario compile(const ScenarioSpec& spec) {
   // Construction.
   const local::ExecMode mode = spec.mode;
   const auto run_construction =
-      [construction, ball, mode, fault](const local::Instance& instance,
-                                        const local::TrialEnv& env,
-                                        local::Labeling& output) {
+      [construction, ball, mode](const local::Instance& instance,
+                                 const fault::InstanceFaults* faults,
+                                 const local::TrialEnv& env,
+                                 local::Labeling& output) {
         if (ball == nullptr) {
           Construction::RunOptions run_options;
-          run_options.fault = fault;
+          run_options.fault = faults;
           return construction->run(instance, env, output, run_options);
         }
         const rand::PhiloxCoins fault_coins = env.fault_coins();
         local::ExecOptions exec_options;
         exec_options.arena = env.arena;
-        if (fault != nullptr) {
-          exec_options.fault = fault;
+        if (faults != nullptr) {
+          exec_options.fault = faults;
           exec_options.fault_coins = &fault_coins;
         }
         local::run_construction_into(instance, *ball, env.construction_coins(),
@@ -359,12 +356,13 @@ CompiledScenario compile(const ScenarioSpec& spec) {
   // snapshot the telemetry delta when the statistic reads it, evaluate.
   const auto evaluate_statistic =
       [language, statistic, run_construction](
-          const local::Instance& instance, const local::TrialEnv& env) {
+          const local::Instance& instance, const fault::InstanceFaults* faults,
+          const local::TrialEnv& env) {
         local::Labeling& output = env.arena->labeling();
         local::Telemetry before;
         if (statistic->needs_telemetry) before = env.arena->telemetry();
         StatisticContext ctx;
-        ctx.outcome = run_construction(instance, env, output);
+        ctx.outcome = run_construction(instance, faults, env, output);
         if (statistic->needs_telemetry) {
           const local::Telemetry& after = env.arena->telemetry();
           ctx.delta.messages_sent =
@@ -405,30 +403,39 @@ CompiledScenario compile(const ScenarioSpec& spec) {
             : interned_instance(spec.topology, n, spec.params, instance_seed);
     LNC_EXPECTS(point.instance != nullptr);
     const local::Instance& inst = *point.instance;
+    // The fault model meets the instance here, once per grid point.
+    if (fault != nullptr) {
+      point.faults = std::make_shared<const fault::InstanceFaults>(
+          *fault, inst.g, inst.ids.raw());
+    }
+    const fault::InstanceFaults* faults = point.faults.get();
+    decide::EvaluateOptions eval_options;
+    eval_options.grant_n = decider_entry->needs_n;
+    eval_options.fault = faults;
 
     const local::Instance* inst_ptr = point.instance.get();
     if (spec.workload == local::WorkloadKind::kValue) {
       point.plan = local::custom_value_plan(
           plan_name, spec.trials, plan_seed,
-          [inst_ptr, evaluate_statistic](const local::TrialEnv& env) {
-            return evaluate_statistic(*inst_ptr, env);
+          [inst_ptr, faults, evaluate_statistic](const local::TrialEnv& env) {
+            return evaluate_statistic(*inst_ptr, faults, env);
           });
     } else if (spec.workload == local::WorkloadKind::kCounter) {
       point.plan = local::custom_count_plan(
           plan_name, spec.trials, plan_seed, 1,
-          [inst_ptr, evaluate_statistic](const local::TrialEnv& env,
-                                         std::span<std::uint64_t> slots) {
+          [inst_ptr, faults, evaluate_statistic](
+              const local::TrialEnv& env, std::span<std::uint64_t> slots) {
             slots[0] += static_cast<std::uint64_t>(
-                std::llround(evaluate_statistic(*inst_ptr, env)));
+                std::llround(evaluate_statistic(*inst_ptr, faults, env)));
           });
     } else if (decider == nullptr) {
       // "exact": success == (global membership verdict == accept side).
       point.plan = local::custom_plan(
           plan_name, spec.trials, plan_seed,
-          [inst_ptr, language, run_construction,
+          [inst_ptr, faults, language, run_construction,
            accept](const local::TrialEnv& env) {
             local::Labeling& output = env.arena->labeling();
-            run_construction(*inst_ptr, env, output);
+            run_construction(*inst_ptr, faults, env, output);
             return language->contains(*inst_ptr, output,
                                       &env.arena->ball_workspace()) ==
                    accept;
@@ -440,16 +447,16 @@ CompiledScenario compile(const ScenarioSpec& spec) {
     } else {
       point.plan = local::custom_plan(
           plan_name, spec.trials, plan_seed,
-          [inst_ptr, run_construction, decider, eval_options, accept,
-           fault](const local::TrialEnv& env) {
+          [inst_ptr, faults, run_construction, decider, eval_options,
+           accept](const local::TrialEnv& env) {
             local::Labeling& output = env.arena->labeling();
-            run_construction(*inst_ptr, env, output);
+            run_construction(*inst_ptr, faults, env, output);
             const rand::PhiloxCoins d_coins = env.decision_coins();
             const rand::PhiloxCoins f_coins = env.fault_coins();
             decide::EvaluateOptions trial_options = eval_options;
             trial_options.telemetry = &env.arena->telemetry();
             trial_options.ball = &env.arena->ball_workspace();
-            if (fault != nullptr) trial_options.fault_coins = &f_coins;
+            if (faults != nullptr) trial_options.fault_coins = &f_coins;
             const decide::DecisionOutcome outcome = decide::evaluate(
                 *inst_ptr, output, *decider, d_coins, trial_options);
             return outcome.accepted == accept;
@@ -483,7 +490,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
     if (vectorizable) {
       point.plan.vector.instance = inst_ptr;
       point.plan.vector.factory = engine_factory;
-      point.plan.vector.fault = fault;
+      point.plan.vector.fault = faults;
       if (spec.workload == local::WorkloadKind::kValue ||
           spec.workload == local::WorkloadKind::kCounter) {
         const auto finish_statistic =
@@ -528,7 +535,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
             };
       } else {
         point.plan.vector.success_finish =
-            [inst_ptr, decider, eval_options, accept, fault](
+            [inst_ptr, decider, eval_options, accept, faults](
                 const local::TrialEnv& env, const local::Labeling& output,
                 int /*rounds*/, const local::Telemetry& /*delta*/) {
               const rand::PhiloxCoins d_coins = env.decision_coins();
@@ -536,7 +543,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
               decide::EvaluateOptions trial_options = eval_options;
               trial_options.telemetry = &env.arena->telemetry();
               trial_options.ball = &env.arena->ball_workspace();
-              if (fault != nullptr) trial_options.fault_coins = &f_coins;
+              if (faults != nullptr) trial_options.fault_coins = &f_coins;
               const decide::DecisionOutcome outcome = decide::evaluate(
                   *inst_ptr, output, *decider, d_coins, trial_options);
               return outcome.accepted == accept;

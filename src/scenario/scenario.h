@@ -125,6 +125,10 @@ class CompiledScenario {
   struct GridPoint {
     std::uint64_t requested_n = 0;
     std::shared_ptr<const local::Instance> instance;
+    /// The spec's fault model bound to `instance` (null when the model is
+    /// trivial): the one link layout per direction that every trial,
+    /// engine run and vector batch of `plan` reads.
+    std::shared_ptr<const fault::InstanceFaults> faults;
     local::ExperimentPlan plan;
   };
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "graph/ball_atlas.h"
 #include "graph/generators.h"
 #include "ident/identity.h"
 #include "scenario/presets.h"
@@ -18,6 +19,7 @@
 #include "scenario/spec_json.h"
 #include "scenario/sweep.h"
 #include "stats/threadpool.h"
+#include "stats/montecarlo.h"
 
 namespace {
 
@@ -230,7 +232,7 @@ TEST(FaultSubgraph, RealizesTheEngineCrashesAndSymmetricEdgeBits) {
   const rand::PhiloxCoins coins(17, rand::Stream::kFault);
   const auto crash = fault::make_crash(0.3, 4);
   fault::FaultSubgraph faults;
-  faults.realize(*crash, coins, g, ids.raw());
+  faults.realize(fault::InstanceFaults(*crash, g, ids.raw()), coins);
   std::vector<std::uint64_t> rounds;
   crash->crash_rounds(coins, ids.raw(), rounds);
   std::size_t failed = 0;
@@ -244,9 +246,12 @@ TEST(FaultSubgraph, RealizesTheEngineCrashesAndSymmetricEdgeBits) {
   }
   EXPECT_GT(failed, 0u);
   EXPECT_LT(failed, g.node_count());
+  EXPECT_EQ(faults.failed_nodes(), failed);
+  EXPECT_EQ(faults.faulty_edges(), 0u);
 
   for (const auto& model : {fault::make_drop(0.4), fault::make_churn(0.4)}) {
-    faults.realize(*model, coins, g, ids.raw());
+    const fault::InstanceFaults bound(*model, g, ids.raw());
+    faults.realize(bound, coins);
     std::size_t blocked = 0;
     for (const graph::Edge& e : g.edges()) {
       EXPECT_EQ(faults.edge_blocked(e.u, e.v), faults.edge_blocked(e.v, e.u));
@@ -255,10 +260,128 @@ TEST(FaultSubgraph, RealizesTheEngineCrashesAndSymmetricEdgeBits) {
     }
     EXPECT_GT(blocked, 0u) << model->name();
     EXPECT_LT(blocked, g.edge_count()) << model->name();
+    EXPECT_EQ(faults.faulty_edges(), blocked) << model->name();
     // Without link draws every edge reads intact.
-    faults.realize(*model, coins, g, ids.raw(), /*links=*/false);
+    faults.realize(bound, coins, /*links=*/false);
     for (const graph::Edge& e : g.edges()) {
       EXPECT_FALSE(faults.edge_blocked(e.u, e.v));
+    }
+    EXPECT_EQ(faults.faulty_edges(), 0u);
+  }
+}
+
+TEST(FaultSubgraph, CountsOnlyFaultyEdgesBetweenSurvivors) {
+  // realize() counts while it marks: a faulty edge counts once, and only
+  // when neither endpoint failed. A drop model has no crash draws, so
+  // this binds a model with both (the counting rule must hold for any
+  // model) and checks the counts against a walk over the marked bits.
+  const graph::Graph g = graph::random_regular(120, 4, 5);
+  const ident::IdAssignment ids = ident::random_permutation(120, 8);
+  const fault::FaultModel both(
+      "drop+crash", {fault::LinkFault::kDrop, 0xFA0D, 0.35}, {0.2, 3});
+  const fault::InstanceFaults bound(both, g, ids.raw());
+  fault::FaultSubgraph faults;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    faults.realize(bound, rand::PhiloxCoins(seed, rand::Stream::kFault));
+    std::uint64_t failed = 0;
+    std::uint64_t faulty = 0;
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      if (faults.node_blocked(v)) {
+        ++failed;
+        continue;
+      }
+      for (const graph::NodeId w : g.neighbors(v)) {
+        if (w > v && !faults.node_blocked(w) && faults.edge_blocked(v, w)) {
+          ++faulty;
+        }
+      }
+    }
+    EXPECT_EQ(faults.failed_nodes(), failed) << "seed " << seed;
+    EXPECT_EQ(faults.faulty_edges(), faulty) << "seed " << seed;
+  }
+}
+
+TEST(InstanceFaults, SharedLayoutEqualsAFreshLinkKeysLayout) {
+  // The binding lays each direction out once and hands every consumer
+  // the same object; its contents are exactly FaultModel::link_keys.
+  const std::vector<std::pair<const char*, graph::Graph>> graphs = {
+      {"ring", graph::cycle(40)},
+      {"3-regular", graph::random_regular(40, 3, 4)},
+      {"tree", graph::binary_tree(40)},
+  };
+  for (const auto& model : {fault::make_drop(0.2), fault::make_churn(0.2)}) {
+    for (const auto& [name, g] : graphs) {
+      const ident::IdAssignment ids =
+          ident::random_permutation(g.node_count(), 3);
+      const fault::InstanceFaults bound(*model, g, ids.raw());
+      for (const bool directed : {false, true}) {
+        const std::string where = std::string(name) + " " +
+                                  std::string(model->name()) +
+                                  (directed ? " directed" : " undirected");
+        const fault::LinkLayout fresh =
+            model->link_keys(g, ids.raw(), directed);
+        const fault::LinkLayout& shared = bound.links(directed);
+        EXPECT_EQ(shared.keys, fresh.keys) << where;
+        EXPECT_EQ(shared.port_slot, fresh.port_slot) << where;
+        EXPECT_EQ(&bound.links(directed), &shared) << where;
+        EXPECT_EQ(shared.port_slot.size(), g.port_count()) << where;
+        EXPECT_EQ(shared.keys.size(),
+                  directed ? g.port_count() : g.edge_count())
+            << where;
+      }
+    }
+  }
+}
+
+TEST(InstanceFaults, RadiusZeroCensoredRunsReadTheAtlasBitIdentically) {
+  // A radius-0 ball is its center alone, so censored radius-0 runs read
+  // the warm runner's atlas. Every trial of the amos drop preset (both
+  // phases at radius 0), and of the same preset under churn and crash,
+  // must come out as on a cold arena whose cache (budget 0) declines
+  // every atlas: the same verdict, labeling and telemetry, fault counters
+  // included.
+  const ScenarioSpec preset = *scenario::find_preset("ring-amos-drop");
+  const std::vector<std::pair<std::string, scenario::ParamMap>> models = {
+      {"drop", {{"p-loss", 0.3}}},
+      {"churn", {{"p-churn", 0.3}}},
+      {"crash", {{"p-crash", 0.2}, {"crash-round", 3}}},
+  };
+  for (const auto& [model, params] : models) {
+    ScenarioSpec spec = preset;
+    spec.fault = model;
+    spec.fault_params = params;
+    ASSERT_EQ(scenario::validate(spec), "") << model;
+    const scenario::CompiledScenario compiled = scenario::compile(spec);
+    for (const auto& point : compiled.points()) {
+      ASSERT_NE(point.faults, nullptr);
+      graph::BallAtlasCache warm_cache;
+      graph::BallAtlasCache cold_cache(0);
+      local::WorkerArena warm;
+      local::WorkerArena cold;
+      local::Telemetry realized;
+      for (std::uint64_t i = 0; i < 200; ++i) {
+        const std::string where = model + " n=" +
+                                  std::to_string(point.requested_n) +
+                                  " trial " + std::to_string(i);
+        auto run = [&](local::WorkerArena& arena,
+                       graph::BallAtlasCache& cache) {
+          arena.telemetry().reset();
+          arena.ball_workspace().attach(&cache, i);
+          local::TrialEnv env;
+          env.index = i;
+          env.seed = stats::trial_seed(point.plan.base_seed, i);
+          env.arena = &arena;
+          return point.plan.success_trial(env);
+        };
+        EXPECT_EQ(run(warm, warm_cache), run(cold, cold_cache)) << where;
+        EXPECT_EQ(warm.labeling(), cold.labeling()) << where;
+        EXPECT_TRUE(warm.telemetry().deterministic_equal(cold.telemetry()))
+            << where;
+        realized.merge(warm.telemetry());
+      }
+      EXPECT_GT(warm_cache.atlas_count(), 0u) << model;
+      EXPECT_EQ(cold_cache.atlas_count(), 0u) << model;
+      EXPECT_GT(fault_counter(spec, realized), 0u) << model;
     }
   }
 }
