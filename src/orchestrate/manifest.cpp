@@ -1,5 +1,7 @@
 #include "orchestrate/manifest.h"
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +11,33 @@
 #include "util/string_util.h"
 
 namespace lnc::orchestrate {
+
+namespace {
+
+/// A field that must fit an unsigned: a larger count or index is corrupt,
+/// never silently narrowed.
+unsigned as_unsigned(const scenario::Json& json, const char* field) {
+  const std::uint64_t value = json.as_uint64();
+  if (value > std::numeric_limits<unsigned>::max()) {
+    throw std::runtime_error(std::string("manifest ") + field + " " +
+                             std::to_string(value) + " is out of range");
+  }
+  return static_cast<unsigned>(value);
+}
+
+/// An exit code: an integer in int's range (signed — -1 records a
+/// never-reaped launch), read through the double field.
+int as_exit_code(const scenario::Json& json) {
+  const double value = json.as_number();
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max()) ||
+      std::trunc(value) != value) {
+    throw std::runtime_error("manifest exit_code is not an int");
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
 
 const char* to_string(ShardState state) noexcept {
   switch (state) {
@@ -107,8 +136,7 @@ RunManifest manifest_from_json(const std::string& text,
   manifest.run_dir = std::move(run_dir);
   manifest.scenario = root.at("scenario").as_string();
   manifest.spec_file = root.at("spec_file").as_string();
-  manifest.shard_count =
-      static_cast<unsigned>(root.at("shard_count").as_uint64());
+  manifest.shard_count = as_unsigned(root.at("shard_count"), "shard_count");
   if (root.has("trial_begin")) {
     manifest.trial_begin = root.at("trial_begin").as_uint64();
   }
@@ -131,7 +159,7 @@ RunManifest manifest_from_json(const std::string& text,
   std::set<unsigned> seen;
   for (const scenario::Json& shard_json : shards) {
     ShardRecord record;
-    record.shard = static_cast<unsigned>(shard_json.at("shard").as_uint64());
+    record.shard = as_unsigned(shard_json.at("shard"), "shard index");
     if (record.shard >= manifest.shard_count ||
         !seen.insert(record.shard).second) {
       throw std::runtime_error("manifest shard index " +
@@ -145,14 +173,10 @@ RunManifest manifest_from_json(const std::string& text,
                                "' is not pending|running|done|failed");
     }
     record.state = *parsed;
-    record.attempts =
-        static_cast<unsigned>(shard_json.at("attempts").as_uint64());
+    record.attempts = as_unsigned(shard_json.at("attempts"), "attempts");
     record.output = shard_json.at("output").as_string();
     if (shard_json.has("exit_code")) {
-      // Exit codes are small but signed (we record -1 for never-reaped
-      // launches) — read through the double field.
-      record.exit_code =
-          static_cast<int>(shard_json.at("exit_code").as_number());
+      record.exit_code = as_exit_code(shard_json.at("exit_code"));
     }
     if (shard_json.has("error")) {
       record.error = shard_json.at("error").as_string();

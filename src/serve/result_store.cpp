@@ -3,12 +3,40 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "scenario/spec_json.h"
 #include "util/build_info.h"
 #include "util/file_util.h"
 
 namespace lnc::serve {
+namespace {
+
+// A stored entry is `{"digest": "<sha256 hex of the rest>", ` followed by
+// the rest of entry_to_json's document: the digest covers every byte
+// after this fixed-width prefix.
+constexpr std::string_view kDigestOpen = "{\"digest\": \"";
+constexpr std::string_view kDigestClose = "\", ";
+constexpr std::size_t kDigestHexChars = 64;
+constexpr std::size_t kDigestPrefix =
+    kDigestOpen.size() + kDigestHexChars + kDigestClose.size();
+
+std::string with_digest(const std::string& document) {
+  const std::string rest = document.substr(1);  // after the opening '{'
+  return std::string(kDigestOpen) + sha256_hex(rest) +
+         std::string(kDigestClose) + rest;
+}
+
+bool digest_matches(const std::string& text) {
+  return text.size() >= kDigestPrefix &&
+         text.compare(0, kDigestOpen.size(), kDigestOpen) == 0 &&
+         text.compare(kDigestOpen.size() + kDigestHexChars,
+                      kDigestClose.size(), kDigestClose) == 0 &&
+         text.compare(kDigestOpen.size(), kDigestHexChars,
+                      sha256_hex(text.substr(kDigestPrefix))) == 0;
+}
+
+}  // namespace
 
 std::string entry_to_json(const CacheEntry& entry) {
   // The embedded spec/result blobs end with '\n' (their file forms);
@@ -92,6 +120,11 @@ std::optional<CacheEntry> ResultStore::lookup(const CacheKey& key,
                 " but this binary is at epoch " +
                 std::to_string(util::seed_stream_epoch()));
   }
+  if (!digest_matches(text)) {
+    return miss("entry '" + path +
+                "' does not match its content digest (damaged, edited, or "
+                "written before entries carried one)");
+  }
   if (entry.key != key) {
     return miss("entry '" + path + "' records key " + entry.key +
                 " (file renamed?)");
@@ -129,7 +162,8 @@ std::string ResultStore::store(CacheEntry entry) const {
   }
   entry.seed_stream_epoch = util::seed_stream_epoch();
   entry.build_rev = util::build_rev();
-  return util::write_file_atomic(path_for(entry.key), entry_to_json(entry));
+  return util::write_file_atomic(path_for(entry.key),
+                                 with_digest(entry_to_json(entry)));
 }
 
 }  // namespace lnc::serve

@@ -5,10 +5,12 @@
 //
 // An entry records the SPEC it was computed from (trials = the covered
 // count, seed = the entry's canonical seed) next to the complete merged
-// RESULT, plus the writing binary's identity. Lookups re-verify
-// everything that could make a stale entry wrong — epoch match, stored
-// key vs file name, key recomputed from the embedded spec — and turn
-// any mismatch into a MISS with a diagnostic, never into wrong bits.
+// RESULT, plus the writing binary's identity. The file opens with a
+// SHA-256 digest of every byte after it, so a flipped digit in a tally —
+// still valid JSON — reads as corrupt. Lookups re-verify everything that
+// could make a stale or damaged entry wrong — epoch match, digest, stored
+// key vs file name, key recomputed from the embedded spec — and turn any
+// mismatch into a MISS with a diagnostic, never into wrong bits.
 #pragma once
 
 #include <optional>
@@ -32,8 +34,11 @@ struct CacheEntry {
   scenario::SweepResult result;  ///< complete, covering [0, spec.trials)
 };
 
+/// The entry as one JSON document. ResultStore files are this document
+/// with a leading "digest" key (see ResultStore::store).
 std::string entry_to_json(const CacheEntry& entry);
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input (a "digest" key is
+/// ignored here; ResultStore::lookup verifies it).
 CacheEntry entry_from_json(const std::string& text,
                            std::vector<std::string>* warnings = nullptr);
 
@@ -48,15 +53,15 @@ class ResultStore {
   std::string path_for(const CacheKey& key) const;
 
   /// Loads and verifies the entry for `key`. Returns nullopt when the
-  /// entry is absent OR fails verification (wrong epoch, key mismatch,
-  /// incomplete result, parse error) — with the reason appended to
-  /// `diagnostic` when non-null. A verification failure never throws:
+  /// entry is absent OR fails verification (wrong epoch, missing or
+  /// mismatched digest, key mismatch, incomplete result, parse error) —
+  /// with the reason in `diagnostic` when non-null. A verification failure never throws:
   /// a corrupt cache degrades to recomputation, not to an outage.
   std::optional<CacheEntry> lookup(const CacheKey& key,
                                    std::string* diagnostic = nullptr) const;
 
   /// Persists the entry atomically at path_for(entry.key), stamping the
-  /// current epoch/build rev. Requires a complete result whose covered
+  /// current epoch/build rev and prefixing the content digest. Requires a complete result whose covered
   /// trials equal entry.spec.trials. Returns empty on success, else a
   /// human-readable error.
   std::string store(CacheEntry entry) const;

@@ -333,55 +333,59 @@ TEST(InstanceFaults, SharedLayoutEqualsAFreshLinkKeysLayout) {
   }
 }
 
-TEST(InstanceFaults, RadiusZeroCensoredRunsReadTheAtlasBitIdentically) {
+TEST(InstanceFaults, CensoredRunsOnAWarmArenaMatchAColdArena) {
   // A radius-0 ball is its center alone, so censored radius-0 runs read
-  // the warm runner's atlas. Every trial of the amos drop preset (both
-  // phases at radius 0), and of the same preset under churn and crash,
-  // must come out as on a cold arena whose cache (budget 0) declines
-  // every atlas: the same verdict, labeling and telemetry, fault counters
-  // included.
-  const ScenarioSpec preset = *scenario::find_preset("ring-amos-drop");
+  // the warm runner's atlas; censored balls at radius 1 are collected.
+  // Every trial of the amos drop preset (both phases at radius 0) and of
+  // ring-slack-coloring (radius-0 construction, radius-1 decider), each
+  // under drop, churn and crash, must come out as on a cold arena whose
+  // cache (budget 0) declines every atlas: the same verdict, labeling
+  // and telemetry, fault counters included.
   const std::vector<std::pair<std::string, scenario::ParamMap>> models = {
       {"drop", {{"p-loss", 0.3}}},
       {"churn", {{"p-churn", 0.3}}},
       {"crash", {{"p-crash", 0.2}, {"crash-round", 3}}},
   };
-  for (const auto& [model, params] : models) {
-    ScenarioSpec spec = preset;
-    spec.fault = model;
-    spec.fault_params = params;
-    ASSERT_EQ(scenario::validate(spec), "") << model;
-    const scenario::CompiledScenario compiled = scenario::compile(spec);
-    for (const auto& point : compiled.points()) {
-      ASSERT_NE(point.faults, nullptr);
-      graph::BallAtlasCache warm_cache;
-      graph::BallAtlasCache cold_cache(0);
-      local::WorkerArena warm;
-      local::WorkerArena cold;
-      local::Telemetry realized;
-      for (std::uint64_t i = 0; i < 200; ++i) {
-        const std::string where = model + " n=" +
-                                  std::to_string(point.requested_n) +
-                                  " trial " + std::to_string(i);
-        auto run = [&](local::WorkerArena& arena,
-                       graph::BallAtlasCache& cache) {
-          arena.telemetry().reset();
-          arena.ball_workspace().attach(&cache, i);
-          local::TrialEnv env;
-          env.index = i;
-          env.seed = stats::trial_seed(point.plan.base_seed, i);
-          env.arena = &arena;
-          return point.plan.success_trial(env);
-        };
-        EXPECT_EQ(run(warm, warm_cache), run(cold, cold_cache)) << where;
-        EXPECT_EQ(warm.labeling(), cold.labeling()) << where;
-        EXPECT_TRUE(warm.telemetry().deterministic_equal(cold.telemetry()))
-            << where;
-        realized.merge(warm.telemetry());
+  for (const std::string preset : {"ring-amos-drop", "ring-slack-coloring"}) {
+    for (const auto& [model, params] : models) {
+      const std::string label = preset + " under " + model;
+      ScenarioSpec spec = *scenario::find_preset(preset);
+      spec.fault = model;
+      spec.fault_params = params;
+      ASSERT_EQ(scenario::validate(spec), "") << label;
+      const scenario::CompiledScenario compiled = scenario::compile(spec);
+      for (const auto& point : compiled.points()) {
+        ASSERT_NE(point.faults, nullptr) << label;
+        graph::BallAtlasCache warm_cache;
+        graph::BallAtlasCache cold_cache(0);
+        local::WorkerArena warm;
+        local::WorkerArena cold;
+        local::Telemetry realized;
+        for (std::uint64_t i = 0; i < 200; ++i) {
+          const std::string where = label + " n=" +
+                                    std::to_string(point.requested_n) +
+                                    " trial " + std::to_string(i);
+          auto run = [&](local::WorkerArena& arena,
+                         graph::BallAtlasCache& cache) {
+            arena.telemetry().reset();
+            arena.ball_workspace().attach(&cache, i);
+            local::TrialEnv env;
+            env.index = i;
+            env.seed = stats::trial_seed(point.plan.base_seed, i);
+            env.arena = &arena;
+            return point.plan.success_trial(env);
+          };
+          EXPECT_EQ(run(warm, warm_cache), run(cold, cold_cache)) << where;
+          EXPECT_EQ(warm.labeling(), cold.labeling()) << where;
+          EXPECT_TRUE(
+              warm.telemetry().deterministic_equal(cold.telemetry()))
+              << where;
+          realized.merge(warm.telemetry());
+        }
+        EXPECT_GT(warm_cache.atlas_count(), 0u) << label;
+        EXPECT_EQ(cold_cache.atlas_count(), 0u) << label;
+        EXPECT_GT(fault_counter(spec, realized), 0u) << label;
       }
-      EXPECT_GT(warm_cache.atlas_count(), 0u) << model;
-      EXPECT_EQ(cold_cache.atlas_count(), 0u) << model;
-      EXPECT_GT(fault_counter(spec, realized), 0u) << model;
     }
   }
 }

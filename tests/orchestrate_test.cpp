@@ -7,6 +7,7 @@
 // success and a value preset.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -159,6 +160,131 @@ TEST(Manifest, RejectsCorruptInput) {
               "shards": []})",
           "/tmp/x"),
       std::runtime_error);
+}
+
+// Mutated manifests (a fixed seed and case count): truncations, bit
+// flips, deep nesting and edge numbers must each end in a diagnostic or
+// in a manifest that says exactly what the text says — no value narrowed
+// or rounded on the way in — never in a crash or sanitizer report.
+TEST(Manifest, MutatedManifestsLoadFaithfullyOrAreDiagnosed) {
+  RunManifest full = orchestrate::make_manifest("/unused", "mutants", 3);
+  full.shards[0].state = ShardState::kDone;
+  full.shards[0].attempts = 1;
+  full.shards[1].state = ShardState::kFailed;
+  full.shards[1].attempts = 4;
+  full.shards[1].exit_code = 99;
+  full.shards[1].error = "exit 99";
+  full.shards[2].state = ShardState::kRunning;
+  full.shards[2].exit_code = -1;
+  RunManifest topup = orchestrate::make_manifest("/unused", "topup", 2);
+  topup.trial_begin = 100;
+  topup.trial_end = 250;
+  const std::vector<std::string> bases = {orchestrate::manifest_to_json(full),
+                                          orchestrate::manifest_to_json(topup)};
+  const std::vector<std::string> fields = {
+      "\"shard_count\": ", "\"shard\": ",     "\"attempts\": ",
+      "\"exit_code\": ",   "\"trial_begin\": ", "\"trial_end\": "};
+  const std::vector<std::string> edges = {
+      "1e309", "-1e309", "18446744073709551616", "-0", "-8", "0.5",
+      "4294967297", "2147483648", "1e-320", "0", "1"};
+  std::uint64_t state = 20261022;
+  const auto next = [&state] {
+    state += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  const std::string dir = fresh_dir("mutated-manifests");
+  std::filesystem::create_directories(dir);
+  int loaded = 0;
+  int diagnosed = 0;
+  for (int c = 0; c < 400; ++c) {
+    std::string text = bases[next() % bases.size()];
+    switch (next() % 4) {
+      case 0:  // truncation
+        text.resize(next() % text.size());
+        break;
+      case 1:  // bit flips
+        for (int k = 1 + static_cast<int>(next() % 3); k > 0; --k) {
+          text[next() % text.size()] ^= static_cast<char>(1u << (next() % 8));
+        }
+        break;
+      case 2: {  // the shard list wrapped in 1..300 arrays
+        const std::size_t depth = 1 + next() % 300;
+        const std::size_t at = text.find('[');
+        const std::size_t close = text.rfind(']') + 1;
+        text = text.substr(0, at) + std::string(depth, '[') +
+               text.substr(at, close - at) + std::string(depth, ']') +
+               text.substr(close);
+        break;
+      }
+      default: {  // an edge number over one numeric value
+        const std::string& field = fields[next() % fields.size()];
+        const std::size_t at = text.find(field);
+        if (at == std::string::npos) break;  // a classic manifest's range
+        const std::size_t begin = at + field.size();
+        std::size_t end = begin;
+        while (end < text.size() &&
+               (std::isdigit(text[end]) || text[end] == '-')) {
+          ++end;
+        }
+        text.replace(begin, end - begin, edges[next() % edges.size()]);
+      }
+    }
+    {
+      std::ofstream file(dir + "/manifest.json", std::ios::trunc);
+      file << text;
+    }
+    const std::string where = "case " + std::to_string(c) + ": " + text;
+    RunManifest manifest;
+    try {
+      manifest = orchestrate::load_manifest(dir);
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("manifest"),
+                std::string::npos)
+          << where << " -> " << error.what();
+      ++diagnosed;
+      continue;
+    }
+    ++loaded;
+    // Loaded: every value equals the number or string in the text.
+    const scenario::Json root = scenario::Json::parse(text);
+    EXPECT_EQ(manifest.scenario, root.at("scenario").as_string()) << where;
+    EXPECT_EQ(static_cast<double>(manifest.shard_count),
+              root.at("shard_count").as_number())
+        << where;
+    const double begin =
+        root.has("trial_begin") ? root.at("trial_begin").as_number() : 0.0;
+    const double end =
+        root.has("trial_end") ? root.at("trial_end").as_number() : 0.0;
+    EXPECT_EQ(static_cast<double>(manifest.trial_begin), begin) << where;
+    EXPECT_EQ(static_cast<double>(manifest.trial_end), end) << where;
+    const scenario::Json::Array& shards = root.at("shards").as_array();
+    ASSERT_EQ(manifest.shards.size(), shards.size()) << where;
+    for (const scenario::Json& shard : shards) {
+      const double index = shard.at("shard").as_number();
+      ASSERT_LT(index, static_cast<double>(manifest.shards.size())) << where;
+      const orchestrate::ShardRecord& record =
+          manifest.shards[static_cast<std::size_t>(index)];
+      EXPECT_EQ(static_cast<double>(record.shard), index) << where;
+      EXPECT_EQ(orchestrate::to_string(record.state),
+                shard.at("state").as_string())
+          << where;
+      EXPECT_EQ(static_cast<double>(record.attempts),
+                shard.at("attempts").as_number())
+          << where;
+      EXPECT_EQ(record.output, shard.at("output").as_string()) << where;
+      if (shard.has("exit_code")) {
+        EXPECT_EQ(static_cast<double>(record.exit_code),
+                  shard.at("exit_code").as_number())
+            << where;
+      }
+    }
+  }
+  // Both outcomes occur: the mutations reach past the parser.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(diagnosed, 0);
 }
 
 TEST(SpecJson, SpecRoundTripsFieldForField) {

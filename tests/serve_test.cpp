@@ -647,6 +647,125 @@ TEST(DaemonProtocol, MutatedRequestLinesAnswerOkOrError) {
   EXPECT_NE(stats.find("\"status\": \"ok\""), std::string::npos) << stats;
 }
 
+// Mutated store entries (a fixed seed and case count): truncations, bit
+// flips, deep nesting and edge numbers written over a stored entry must
+// each end in a diagnosed miss — never a hit with other bits than the
+// entry that was stored, never a crash or sanitizer report. A quarter of
+// the edge-number cases carry a recomputed digest, as a foreign writer
+// would, so the readers behind the digest see those numbers too.
+TEST(ResultStore, MutatedEntriesAreDiagnosedMissesNeverWrongHits) {
+  const serve::ResultStore store(fresh_dir("mutated-entries"));
+  struct Base {
+    CacheEntry entry;
+    std::string text;
+  };
+  std::vector<Base> bases;
+  for (const ScenarioSpec& spec :
+       {shrunk("ring-amos-drop", 8, 16), shrunk("luby-mis-rounds", 4, 16)}) {
+    Base base;
+    base.entry.key = serve::cache_key(spec);
+    base.entry.spec = spec;
+    base.entry.result = cold_run(spec);
+    ASSERT_EQ(store.store(base.entry), "");
+    ASSERT_EQ(util::read_file(store.path_for(base.entry.key), base.text), "");
+    bases.push_back(std::move(base));
+  }
+  // The stored form: `{"digest": "<64 hex>", ` and then the document the
+  // digest covers.
+  const std::size_t digest_prefix = std::string("{\"digest\": \"").size() +
+                                    64 + std::string("\", ").size();
+  const auto forge = [&](const std::string& text) {
+    const std::string rest = text.substr(digest_prefix);
+    return "{\"digest\": \"" + serve::sha256_hex(rest) + "\", " + rest;
+  };
+  const std::vector<std::string> fields = {
+      "\"trials\": ",   "\"successes\": ", "\"trial_end\": ",
+      "\"n\": [",       "\"seed\": ",      "\"total_trials\": ",
+      "\"messages\": ", "\"seed_stream_epoch\": "};
+  const std::vector<std::string> edges = {
+      "1e309", "-1e309", "18446744073709551616", "-0", "-8", "0.5", "1e-320"};
+  std::uint64_t state = 20261021;
+  const auto next = [&state] {
+    state += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  int forged = 0;
+  for (int c = 0; c < 400; ++c) {
+    const Base& base = bases[next() % bases.size()];
+    std::string text = base.text;
+    std::string kind;
+    switch (next() % 4) {
+      case 0:  // truncation
+        kind = "truncation";
+        text.resize(next() % text.size());
+        break;
+      case 1:  // bit flips
+        kind = "bit flips";
+        for (int k = 1 + static_cast<int>(next() % 3); k > 0; --k) {
+          text[next() % text.size()] ^= static_cast<char>(1u << (next() % 8));
+        }
+        break;
+      case 2: {  // the result wrapped in 1..300 arrays
+        kind = "deep nesting";
+        const std::size_t depth = 1 + next() % 300;
+        const std::string field = "\"result\": ";
+        const std::size_t at = text.find(field) + field.size();
+        const std::size_t close = text.rfind('}');
+        text = text.substr(0, at) + std::string(depth, '[') +
+               text.substr(at, close - at) + std::string(depth, ']') +
+               text.substr(close);
+        break;
+      }
+      default: {  // an edge number over one numeric value
+        kind = "edge number";
+        const std::string& field = fields[next() % fields.size()];
+        const std::size_t at = text.find(field);
+        ASSERT_NE(at, std::string::npos) << field;
+        const std::size_t begin = at + field.size();
+        std::size_t end = begin;
+        while (end < text.size() && std::isdigit(text[end])) ++end;
+        text.replace(begin, end - begin, edges[next() % edges.size()]);
+        if (next() % 4 == 0) {
+          kind += " (re-digested)";
+          text = forge(text);
+          ++forged;
+        }
+      }
+    }
+    ASSERT_EQ(util::write_file_atomic(store.path_for(base.entry.key), text),
+              "");
+    std::string diagnostic;
+    const std::optional<CacheEntry> hit =
+        store.lookup(base.entry.key, &diagnostic);
+    const std::string where = "case " + std::to_string(c) + " (" + kind +
+                              "): " + text.substr(0, 200);
+    if (hit.has_value()) {
+      // Only an unchanged entry may hit, and then with the stored bits.
+      EXPECT_EQ(text, base.text) << where;
+      EXPECT_EQ(scenario::spec_to_json(hit->spec),
+                scenario::spec_to_json(base.entry.spec))
+          << where;
+      expect_rows_bit_identical(base.entry.result, hit->result);
+    } else {
+      EXPECT_FALSE(diagnostic.empty()) << where;
+      EXPECT_NE(diagnostic, "no entry") << where;
+    }
+  }
+  EXPECT_GT(forged, 0);
+  // The intact entries still hit afterwards.
+  for (const Base& base : bases) {
+    ASSERT_EQ(util::write_file_atomic(store.path_for(base.entry.key),
+                                      base.text),
+              "");
+    std::string diagnostic;
+    EXPECT_TRUE(store.lookup(base.entry.key, &diagnostic).has_value())
+        << diagnostic;
+  }
+}
+
 // ------------------------------------------------- spec front end --
 
 /// Runs a built tool with stderr folded into the output; returns the exit
