@@ -64,7 +64,6 @@ LinkLayout FaultModel::link_keys(const graph::Graph& g,
   LinkLayout layout;
   std::vector<std::uint64_t>& keys = layout.keys;
   std::vector<std::size_t>& port_slot = layout.port_slot;
-  keys.reserve(directed ? g.port_count() : g.port_count() / 2);
   port_slot.resize(g.port_count());
   for (graph::NodeId v = 0; v < n; ++v) {
     const auto nbrs = g.neighbors(v);

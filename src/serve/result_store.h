@@ -55,15 +55,16 @@ class ResultStore {
   /// Loads and verifies the entry for `key`. Returns nullopt when the
   /// entry is absent OR fails verification (wrong epoch, missing or
   /// mismatched digest, key mismatch, incomplete result, parse error) —
-  /// with the reason in `diagnostic` when non-null. A verification failure never throws:
-  /// a corrupt cache degrades to recomputation, not to an outage.
+  /// with the reason in `diagnostic` when non-null. A verification
+  /// failure never throws: a corrupt cache degrades to recomputation, not
+  /// to an outage.
   std::optional<CacheEntry> lookup(const CacheKey& key,
                                    std::string* diagnostic = nullptr) const;
 
   /// Persists the entry atomically at path_for(entry.key), stamping the
-  /// current epoch/build rev and prefixing the content digest. Requires a complete result whose covered
-  /// trials equal entry.spec.trials. Returns empty on success, else a
-  /// human-readable error.
+  /// current epoch/build rev and prefixing the content digest. Requires a
+  /// complete result whose covered trials equal entry.spec.trials.
+  /// Returns empty on success, else a human-readable error.
   std::string store(CacheEntry entry) const;
 
  private:
