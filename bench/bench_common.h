@@ -1,21 +1,16 @@
-// Shared helpers for the experiment binaries: a standard preamble/epilogue
-// and the convention that each binary prints its reproduced tables first,
-// then runs its google-benchmark microbenchmarks.
+// Shared helpers for the experiment binaries: a standard preamble and the
+// table printer. Each binary's main prints its reproduced tables.
 //
 // Machine-readable output: when LNC_BENCH_JSON_DIR is set, every printed
-// table is also written as JSON to <dir>/TABLE_<experiment>_<k>.json and
-// the microbenchmarks are recorded to <dir>/BENCH_<binary>.json — the
-// per-PR trajectory files CI archives.
+// table is also written as JSON to <dir>/TABLE_<experiment>_<k>.json — the
+// trajectory files CI archives.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "local/telemetry.h"
 #include "scenario/spec_json.h"
@@ -95,37 +90,11 @@ inline void print_table(const util::Table& table,
   }
 }
 
-/// Standard main body: tables first, then microbenchmarks (recorded as
-/// JSON next to the tables when LNC_BENCH_JSON_DIR is set).
-inline int run_bench_main(int argc, char** argv,
-                          void (*print_tables_fn)()) {
-  print_tables_fn();
-  std::vector<std::string> args(argv, argv + argc);
-  if (const char* json_dir = std::getenv("LNC_BENCH_JSON_DIR")) {
-    std::string name = args.empty() ? std::string("bench") : args[0];
-    const std::size_t slash = name.find_last_of('/');
-    if (slash != std::string::npos) name = name.substr(slash + 1);
-    args.push_back("--benchmark_out_format=json");
-    args.push_back(std::string("--benchmark_out=") + json_dir + "/BENCH_" +
-                   name + ".json");
-  }
-  std::vector<char*> arg_ptrs;
-  arg_ptrs.reserve(args.size());
-  for (std::string& arg : args) arg_ptrs.push_back(arg.data());
-  int adjusted_argc = static_cast<int>(arg_ptrs.size());
-  ::benchmark::Initialize(&adjusted_argc, arg_ptrs.data());
-  if (::benchmark::ReportUnrecognizedArguments(adjusted_argc,
-                                               arg_ptrs.data())) {
-    return 1;
-  }
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+/// Keeps a computed value alive so the optimizer cannot drop the timed
+/// work that produced it.
+template <typename T>
+inline void do_not_optimize(const T& value) {
+  asm volatile("" : : "m"(value) : "memory");
 }
-
-#define LNC_BENCH_MAIN(print_tables_fn)                           \
-  int main(int argc, char** argv) {                               \
-    return ::lnc::bench::run_bench_main(argc, argv, print_tables_fn); \
-  }
 
 }  // namespace lnc::bench

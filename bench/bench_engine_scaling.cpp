@@ -1,7 +1,7 @@
 // E12 — substrate validation: throughput of the synchronous engine, ball
 // collection, and ball views at the scales the E-series experiments use,
-// plus the batched-vs-naive trial execution comparison and the backend
-// ablation. Components resolve from the scenario registry. One trial runs
+// plus batched trial execution against a plain per-trial engine loop
+// and the backend ablation. Components resolve from the scenario registry. One trial runs
 // on one thread; the pooled rows parallelize across trials.
 #include "bench_common.h"
 
@@ -55,18 +55,18 @@ void print_tables() {
         .add_cell(std::uint64_t{n})
         .add_cell(node_rounds, 2)
         .add_cell(collect_ms, 1);
-    benchmark::DoNotOptimize(tables);
-    benchmark::DoNotOptimize(colors);
+    bench::do_not_optimize(tables);
+    bench::do_not_optimize(colors);
   }
   bench::print_table(table);
 
   // Batched Monte-Carlo ablation: the SAME engine workload (weak-coloring
-  // MC, 7 rounds) run as (a) a naive per-trial run_engine loop with fresh
+  // MC, 7 rounds) run as (a) a plain per-trial run_engine loop with fresh
   // allocations per trial, (b) BatchRunner with one warm arena at 1
   // thread (isolates the arena-reuse + program-recycling win), (c)
   // BatchRunner at trial granularity on 8 threads. Success tallies must
   // agree — the batched path is a pure execution change.
-  std::cout << "Batched trial execution vs naive per-trial engine loop\n"
+  std::cout << "Batched trial execution vs plain per-trial engine loop\n"
                "(weak-coloring MC, n = 512, 600 trials; host has "
             << std::thread::hardware_concurrency()
             << " hardware thread(s) — on a single-core host the 8-thread\n"
@@ -96,9 +96,9 @@ void print_tables() {
           });
     };
 
-    // (a) naive: same per-trial seeds, no scratch, no batching.
-    util::Timer naive_timer;
-    std::uint64_t naive_successes = 0;
+    // (a) plain loop: same per-trial seeds, no scratch, no batching.
+    util::Timer loop_timer;
+    std::uint64_t loop_successes = 0;
     for (std::uint64_t i = 0; i < trials; ++i) {
       const rand::PhiloxCoins coins(
           rand::mix_keys(stats::trial_seed(base_seed, i),
@@ -106,9 +106,9 @@ void print_tables() {
           rand::Stream::kConstruction);
       const local::EngineResult result =
           algo::run_weak_color_mc(inst, coins, 6);
-      if (weak->contains(inst, result.output)) ++naive_successes;
+      if (weak->contains(inst, result.output)) ++loop_successes;
     }
-    const double naive_s = naive_timer.elapsed_seconds();
+    const double loop_s = loop_timer.elapsed_seconds();
 
     // (b) batched, 1 worker (arena reuse + program recycling only).
     local::BatchRunner sequential_runner;
@@ -126,19 +126,19 @@ void print_tables() {
 
     const local::Telemetry seq_telemetry = sequential_runner.last_telemetry();
     const local::Telemetry par_telemetry = parallel_runner.last_telemetry();
-    const double naive_rate = static_cast<double>(trials) / naive_s;
+    const double loop_rate = static_cast<double>(trials) / loop_s;
     batched.new_row()
-        .add_cell("naive run_engine loop")
-        .add_cell(naive_rate, 0)
+        .add_cell("plain run_engine loop")
+        .add_cell(loop_rate, 0)
         .add_cell(1.0, 2)
-        .add_cell(naive_successes)
+        .add_cell(loop_successes)
         .add_cell("-")
         .add_cell("-")
         .add_cell("-");
     batched.new_row()
         .add_cell("BatchRunner 1 thread")
         .add_cell(static_cast<double>(trials) / batched1_s, 0)
-        .add_cell(naive_s / batched1_s, 2)
+        .add_cell(loop_s / batched1_s, 2)
         .add_cell(seq_est.successes)
         .add_cell(seq_telemetry.messages_sent)
         .add_cell(seq_telemetry.words_sent)
@@ -146,7 +146,7 @@ void print_tables() {
     batched.new_row()
         .add_cell("BatchRunner 8 threads")
         .add_cell(static_cast<double>(trials) / batched8_s, 0)
-        .add_cell(naive_s / batched8_s, 2)
+        .add_cell(loop_s / batched8_s, 2)
         .add_cell(par_est.successes)
         .add_cell(par_telemetry.messages_sent)
         .add_cell(par_telemetry.words_sent)
@@ -245,7 +245,7 @@ void print_tables() {
       }
     }
     const double arena_s = arena_timer.elapsed_seconds();
-    benchmark::DoNotOptimize(sink);
+    bench::do_not_optimize(sink);
 
     const double total =
         static_cast<double>(passes) * static_cast<double>(n);
@@ -264,9 +264,9 @@ void print_tables() {
   // — the speedup column is the only thing a backend may change. The CI
   // backend identity gate re-asserts the same contract from the CLI
   // (lnc_sweep --backend + tools/check_value_merge.py).
-  std::cout << "Trial-execution backend ablation — naive per-trial arenas\n"
-               "vs batched (warm scalar arenas) vs vectorized (SoA\n"
-               "lockstep batches), 1 thread, preset-default n:\n\n";
+  std::cout << "Trial-execution backend ablation — batched (warm scalar\n"
+               "arenas) vs vectorized (SoA lockstep batches), 1 thread,\n"
+               "preset-default n:\n\n";
   util::Table backend_table({"workload", "backend", "trials/s",
                              "speedup vs batched", "bit-identical"});
   local::OptimizationConfig vectorized_config;
@@ -320,15 +320,14 @@ void print_tables() {
         }
         return run;
       };
-      const Run naive = run_backend(Backend::kNaive);
       const Run batched = run_backend(Backend::kBatched);
       const Run vectorized = run_backend(Backend::kVectorized);
       auto add_row = [&](const char* backend, const Run& run) {
         const bool identical =
-            run.tally.successes == naive.tally.successes &&
-            run.tally.value_sum == naive.tally.value_sum &&
-            run.tally.value_sum_sq == naive.tally.value_sum_sq &&
-            run.tally.telemetry.deterministic_equal(naive.tally.telemetry);
+            run.tally.successes == batched.tally.successes &&
+            run.tally.value_sum == batched.tally.value_sum &&
+            run.tally.value_sum_sq == batched.tally.value_sum_sq &&
+            run.tally.telemetry.deterministic_equal(batched.tally.telemetry);
         backend_table.new_row()
             .add_cell(spec.name)
             .add_cell(backend)
@@ -336,7 +335,6 @@ void print_tables() {
             .add_cell(batched.seconds / run.seconds, 2)
             .add_cell(identical ? "yes" : "NO");
       };
-      add_row("naive", naive);
       add_row("batched", batched);
       add_row("vectorized", vectorized);
     }
@@ -401,110 +399,6 @@ void print_tables() {
   bench::print_table(obs_table);
 }
 
-void BM_BatchedTrials(benchmark::State& state) {
-  // items/s == trials/s for the batched path at the given thread count.
-  const auto threads = static_cast<unsigned>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", 512);
-  const auto weak = scenario::make_language("weak-coloring", {{"colors", 2}});
-  const auto mc =
-      scenario::make_construction("weak-color-mc", {{"fixup-rounds", 6}});
-  const std::uint64_t trials = 200;
-  const stats::ThreadPool pool(threads);
-  local::BatchRunner runner(threads == 0 ? nullptr : &pool);
-  const local::ExperimentPlan plan = local::custom_plan(
-      "weak-color-bm", trials, 7, [&](const local::TrialEnv& env) {
-        local::Labeling& output = env.arena->labeling();
-        mc->run(inst, env, output);
-        return weak->contains(inst, output);
-      });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(plan).successes);
-  }
-  state.SetItemsProcessed(state.iterations() * trials);
-}
-BENCHMARK(BM_BatchedTrials)->Arg(0)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_BallView(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const auto radius = static_cast<int>(state.range(1));
-  const local::Instance inst = scenario::build_instance("ring", n);
-  graph::NodeId v = 0;
-  for (auto _ : state) {
-    const graph::BallView ball(inst.g, v, radius);
-    benchmark::DoNotOptimize(ball.size());
-    v = (v + 1) % n;
-  }
-}
-BENCHMARK(BM_BallView)->Args({1024, 1})->Args({1024, 4})->Args({16384, 4});
-
-void BM_BallViewArena(benchmark::State& state) {
-  // Same collections as BM_BallView through a reused workspace — the
-  // steady state of the batched Monte-Carlo runners.
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const auto radius = static_cast<int>(state.range(1));
-  const local::Instance inst = scenario::build_instance("ring", n);
-  graph::BallView ball;
-  graph::BallScratch scratch;
-  graph::NodeId v = 0;
-  for (auto _ : state) {
-    ball.collect(inst.g, v, radius, scratch);
-    benchmark::DoNotOptimize(ball.size());
-    v = (v + 1) % n;
-  }
-}
-BENCHMARK(BM_BallViewArena)
-    ->Args({1024, 1})
-    ->Args({1024, 4})
-    ->Args({16384, 4});
-
-void BM_EngineRound(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  const auto cole_vishkin = scenario::make_construction("cole-vishkin");
-  local::WorkerArena arena;
-  local::TrialEnv env;
-  env.arena = &arena;
-  local::Labeling colors;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cole_vishkin->run(inst, env, colors).rounds);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EngineRound)->Arg(1024)->Arg(8192);
-
-void BM_CollectBalls(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(local::collect_balls(inst, 2));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_CollectBalls)->Arg(512)->Arg(4096);
-
-void BM_RunBallAlgorithm(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  class Rank final : public local::BallAlgorithm {
-   public:
-    std::string name() const override { return "rank"; }
-    int radius() const override { return 2; }
-    local::Label compute(const local::View& view) const override {
-      local::Label rank = 0;
-      for (graph::NodeId i = 1; i < view.ball->size(); ++i) {
-        if (view.identity(i) < view.center_identity()) ++rank;
-      }
-      return rank;
-    }
-  };
-  const Rank algo;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_ball_algorithm(inst, algo));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RunBallAlgorithm)->Arg(8192)->Arg(65536);
-
 }  // namespace
 
-LNC_BENCH_MAIN(print_tables)
+int main() { print_tables(); }

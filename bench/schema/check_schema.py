@@ -16,7 +16,7 @@ scenario::optimization_to_json.
 When a bench binary legitimately gains or loses a table, regenerate the
 golden list:
 
-    LNC_BENCH_JSON_DIR=/tmp/bj ./build/bench_* --benchmark_filter=NONE
+    for b in build/bench_*; do LNC_BENCH_JSON_DIR=/tmp/bj "$b" > /dev/null; done
     ls /tmp/bj | grep '^TABLE_' | sort > bench/schema/TABLES.txt
 """
 import json
@@ -26,7 +26,7 @@ import sys
 TELEMETRY_KEYS = {"messages", "words", "rounds", "ball_expansions",
                   "arena_peak_bytes", "wall_seconds"}
 OPTIMIZATION_KEYS = {"backend", "batch_trials"}
-BACKENDS = {"auto", "naive", "batched", "vectorized"}
+BACKENDS = {"auto", "batched", "vectorized"}
 
 
 def check_table(path):

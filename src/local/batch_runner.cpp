@@ -130,7 +130,7 @@ unsigned BatchRunner::worker_count() const noexcept {
 
 template <typename Body>
 void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
-                                 bool fresh_arenas, Body&& body) {
+                                 Body&& body) {
   auto invoke = [&](unsigned worker, std::uint64_t offset) {
     const std::uint64_t i = range.begin + offset;
     TrialEnv env;
@@ -145,19 +145,9 @@ void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
         obs::metrics_enabled() ? &arenas_[worker].metrics() : nullptr;
     const obs::WorkerMetricsScope metrics_scope(metrics);
     const util::Timer trial_timer;
-    if (fresh_arenas) {
-      // Naive backend: a cold arena per trial (nothing survives — the
-      // reuse-ablation baseline). The trial's telemetry still lands in
-      // the persistent worker accumulator so tallies merge identically.
-      WorkerArena fresh;
-      env.arena = &fresh;
-      body(worker, env);
-      arenas_[worker].telemetry().merge(fresh.telemetry());
-    } else {
-      env.arena = &arenas_[worker];
-      env.arena->ball_workspace().attach(&atlases_, i);
-      body(worker, env);
-    }
+    env.arena = &arenas_[worker];
+    env.arena->ball_workspace().attach(&atlases_, i);
+    body(worker, env);
     // Per-trial wall time lands in the worker's lock-free accumulator
     // (timing-only telemetry; never part of the deterministic contract).
     const double trial_seconds = trial_timer.elapsed_seconds();
@@ -280,7 +270,6 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
     backend = OptimizationConfig::Backend::kBatched;
   }
   const bool vectorized = backend == OptimizationConfig::Backend::kVectorized;
-  const bool fresh_arenas = backend == OptimizationConfig::Backend::kNaive;
 
   reset_worker_telemetry();
   reset_worker_metrics();
@@ -300,10 +289,9 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
               }
             });
       } else {
-        for_each_trial(plan, range, fresh_arenas,
-                       [&](unsigned worker, const TrialEnv& env) {
-                         if (plan.success_trial(env)) ++tallies[worker].value;
-                       });
+        for_each_trial(plan, range, [&](unsigned worker, const TrialEnv& env) {
+          if (plan.success_trial(env)) ++tallies[worker].value;
+        });
       }
       tally.successes = stats::sum_counters(tallies);
       break;
@@ -330,12 +318,11 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
               sums[worker].sum_sq.add(value * value);
             });
       } else {
-        for_each_trial(plan, range, fresh_arenas,
-                       [&](unsigned worker, const TrialEnv& env) {
-                         const double value = plan.value_trial(env);
-                         sums[worker].sum.add(value);
-                         sums[worker].sum_sq.add(value * value);
-                       });
+        for_each_trial(plan, range, [&](unsigned worker, const TrialEnv& env) {
+          const double value = plan.value_trial(env);
+          sums[worker].sum.add(value);
+          sums[worker].sum_sq.add(value * value);
+        });
       }
       for (const WorkerSums& worker_sums : sums) {
         tally.value_sum.merge(worker_sums.sum);
@@ -356,10 +343,9 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
                                        slots[worker]);
             });
       } else {
-        for_each_trial(plan, range, fresh_arenas,
-                       [&](unsigned worker, const TrialEnv& env) {
-                         plan.count_trial(env, slots[worker]);
-                       });
+        for_each_trial(plan, range, [&](unsigned worker, const TrialEnv& env) {
+          plan.count_trial(env, slots[worker]);
+        });
       }
       tally.counts.assign(plan.counters, 0);
       for (const auto& worker_slots : slots) {

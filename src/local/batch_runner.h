@@ -185,7 +185,7 @@ struct TrialEnv {
 /// (local/vector_engine.h) instead of calling the scalar per-trial
 /// callback; per trial, the workload-matching finish hook then turns the
 /// construction's output into the tallied quantity. The scalar callbacks
-/// stay populated regardless — they are the naive/batched path and the
+/// stay populated regardless — they are the batched path and the
 /// bit-identity reference.
 struct VectorExec {
   const Instance* instance = nullptr;
@@ -385,8 +385,9 @@ class BatchRunner {
   }
 
   /// The runner's ball atlases (graph/ball_atlas.h), shared read-only by
-  /// the warm arenas of every worker and kept for the runner's lifetime.
-  /// The naive backend's cold arenas never see them.
+  /// the arenas of every worker and kept for the runner's lifetime. A
+  /// runner that only ever executes one trial builds none: an atlas is
+  /// built only for a second, different requester (trial index).
   const graph::BallAtlasCache& ball_atlases() const noexcept {
     return atlases_;
   }
@@ -394,7 +395,7 @@ class BatchRunner {
  private:
   template <typename Body>
   void for_each_trial(const ExperimentPlan& plan, TrialRange range,
-                      bool fresh_arenas, Body&& body);
+                      Body&& body);
 
   /// Vectorized dispatch: cuts `range` into consecutive lockstep batches
   /// of plan.optimization.batch_trials (a pure function of the range, NOT

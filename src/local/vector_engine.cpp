@@ -21,12 +21,6 @@ OptimizationConfig OptimizationConfig::automatic(std::uint64_t n,
                                                  std::uint64_t trials,
                                                  double mean_degree) {
   OptimizationConfig config;
-  if (trials <= 2) {
-    // Too few trials for arena reuse (let alone lockstep) to pay for
-    // itself; fresh scalar arenas also keep one-shot debugging runs simple.
-    config.backend = Backend::kNaive;
-    return config;
-  }
   if (trials < 8) {
     config.backend = Backend::kBatched;
     return config;

@@ -69,7 +69,6 @@ namespace lnc::local {
 struct OptimizationConfig {
   enum class Backend {
     kAuto,        ///< resolve per plan (automatic() or the runner default)
-    kNaive,       ///< scalar engine, fresh arenas per trial (no reuse)
     kBatched,     ///< scalar engine, warm per-worker arenas (the PR-1 path)
     kVectorized,  ///< SoA lockstep batches (falls back when not vectorizable)
   };
@@ -79,18 +78,17 @@ struct OptimizationConfig {
   /// Trials advanced in lockstep per batch (vectorized backend only).
   std::uint64_t batch_trials = 32;
 
-  /// The auto-tuning entry point: picks naive for degenerate trial counts,
-  /// batched for workloads too small (or too large per trial) to win from
-  /// lockstep batches, and vectorized with a cache-sized batch_trials
-  /// otherwise. `mean_degree` is the instance's average degree (the SoA
-  /// state per trial scales with n * degree for port-indexed programs).
+  /// The auto-tuning entry point: picks batched for workloads too small
+  /// (or too large per trial) to win from lockstep batches, and
+  /// vectorized with a cache-sized batch_trials otherwise. `mean_degree`
+  /// is the instance's average degree (the SoA state per trial scales
+  /// with n * degree for port-indexed programs).
   static OptimizationConfig automatic(std::uint64_t n, std::uint64_t trials,
                                       double mean_degree);
 };
 
-inline constexpr util::EnumNames<OptimizationConfig::Backend, 4>
+inline constexpr util::EnumNames<OptimizationConfig::Backend, 3>
     kBackendNames{{{{OptimizationConfig::Backend::kAuto, "auto"},
-                    {OptimizationConfig::Backend::kNaive, "naive"},
                     {OptimizationConfig::Backend::kBatched, "batched"},
                     {OptimizationConfig::Backend::kVectorized, "vectorized"}}}};
 

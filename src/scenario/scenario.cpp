@@ -464,11 +464,12 @@ CompiledScenario compile(const ScenarioSpec& spec) {
     }
 
     // Backend selection. Every plan carries an OptimizationConfig so a
-    // forced --backend naive/batched is honored on every path; kAuto
-    // resolves through the size-based tuner. Vectorizable engine
-    // constructions additionally get the SoA execution hooks — the
-    // workload-matching finish turns each lockstep trial's output into
-    // exactly what the scalar trial body would have tallied.
+    // forced --backend is honored on every path (vectorized falls back to
+    // batched where no SoA hooks exist); kAuto resolves through the
+    // size-based tuner. Vectorizable engine constructions additionally
+    // get the SoA execution hooks — the workload-matching finish turns
+    // each lockstep trial's output into exactly what the scalar trial
+    // body would have tallied.
     {
       double mean_degree = 0.0;
       if (inst.is_implicit()) {

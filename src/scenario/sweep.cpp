@@ -697,8 +697,8 @@ SweepResult merge_sweep_files(std::span<const std::string> paths,
   if (warnings != nullptr) {
     // Mixed backends still merge bit-identically (that contract is what
     // tests/vector_engine_test.cpp asserts), so a mismatch is a warning,
-    // not a merge failure — but a fleet silently running half naive and
-    // half vectorized is worth surfacing.
+    // not a merge failure — but a fleet silently running half batched
+    // and half vectorized is worth surfacing.
     for (std::size_t s = 1; s < shards.size(); ++s) {
       if (shards[s].backend != shards[0].backend) {
         warnings->push_back(

@@ -1,6 +1,6 @@
 // Wall-clock timer for the engine-scaling experiment (E12) and example
-// programs. Benchmarks proper use google-benchmark; this is for coarse
-// reporting only.
+// programs. The timed benchmark is perfbench (BENCHMARK.json); this is for
+// coarse reporting only.
 #pragma once
 
 #include <chrono>

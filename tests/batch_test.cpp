@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "algo/rand_coloring.h"
+#include "cold_reference.h"
 #include "core/hard_instances.h"
 #include "decide/experiment_plans.h"
 #include "decide/resilient_decider.h"
@@ -364,19 +366,11 @@ TEST(BallAtlas, WarmRunnerAfterGraphTurnoverMatchesColdRunner) {
   // The runner's atlas cache keys by Graph::uid(), never by address: each
   // instance below is freed before the next (same n, different structure)
   // is built, so the allocator may hand the new graph the old address.
-  // The warm runner must still tally exactly what a cold runner does on
-  // the naive backend, whose cold arenas collect every ball.
+  // The warm runner must still tally exactly what the cold reference
+  // does, whose one-trial runners collect every ball.
   const algo::UniformRandomColoring coloring(3);
   const lang::ProperColoring base(3);
   const decide::ResilientDecider decider(base, 1);
-  auto plan_for = [&](const local::Instance& inst, bool naive) {
-    auto plan = decide::construct_then_decide_plan("atlas-turnover", inst,
-                                                   coloring, decider, 300, 7);
-    if (naive) {
-      plan.optimization.backend = local::OptimizationConfig::Backend::kNaive;
-    }
-    return plan;
-  };
   const std::vector<graph::Graph (*)()> graphs = {
       [] { return graph::cycle(24); },
       [] { return graph::grid(6, 4); },
@@ -387,12 +381,12 @@ TEST(BallAtlas, WarmRunnerAfterGraphTurnoverMatchesColdRunner) {
   BatchRunner warm;
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     auto inst = std::make_unique<local::Instance>(labeled(graphs[i](), i));
-    const stats::Estimate warm_estimate = warm.run(plan_for(*inst, false));
-    const local::Telemetry warm_telemetry = warm.last_telemetry();
-    BatchRunner cold;
-    expect_identical(cold.run(plan_for(*inst, true)), warm_estimate);
-    expect_telemetry_identical(cold.last_telemetry(), warm_telemetry);
-    EXPECT_EQ(cold.ball_atlases().atlas_count(), 0u);
+    const local::ExperimentPlan plan = decide::construct_then_decide_plan(
+        "atlas-turnover", *inst, coloring, decider, 300, 7);
+    const local::TrialRange all{0, plan.trials};
+    expect_tallies_identical(cold_reference(plan, all),
+                             warm.run_shard(plan, all),
+                             "graph " + std::to_string(i));
   }
   // Construction radius 0 and decision radius 1, per graph.
   EXPECT_EQ(warm.ball_atlases().atlas_count(), 2 * graphs.size());

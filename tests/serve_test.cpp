@@ -124,7 +124,7 @@ TEST(CacheKey, IgnoresNonSemanticFields) {
   variant.doc = "other docs";
   EXPECT_EQ(serve::cache_key(variant), key) << "labels must not key";
   variant = base;
-  variant.backend = local::OptimizationConfig::Backend::kNaive;
+  variant.backend = local::OptimizationConfig::Backend::kVectorized;
   EXPECT_EQ(serve::cache_key(variant), key)
       << "backends are bit-identical, so they must not key";
 }
@@ -835,6 +835,65 @@ TEST(SpecFlags, RequestWithSpecFlagsIsAUsageErrorNamingBoth) {
       << output;
   EXPECT_NE(output.find("--request and --scenario"), std::string::npos)
       << output;
+}
+
+// The retired "naive" backend name is diagnosed on every surface that
+// reads a backend: a spec file, the --backend flag, a daemon request line
+// and a shard file. Each diagnostic lists the backends that remain.
+TEST(SpecFlags, RetiredNaiveBackendIsDiagnosedEverywhere) {
+  const std::string choices = "auto|batched|vectorized";
+  const auto expect_diagnosed = [&](const std::string& text,
+                                    const std::string& surface) {
+    EXPECT_NE(text.find(choices), std::string::npos) << surface << ": " << text;
+    EXPECT_NE(text.find("'naive'"), std::string::npos)
+        << surface << ": " << text;
+  };
+  const std::string root = fresh_dir("naive");
+  std::filesystem::create_directories(root);
+
+  const std::string spec_file = root + "/naive-spec.json";
+  ASSERT_EQ(util::write_file_atomic(
+                spec_file,
+                "{\"name\": \"naive\", \"topology\": \"ring\", "
+                "\"language\": \"mis\", \"construction\": \"luby-mis\", "
+                "\"decider\": \"exact\", \"n\": [16], \"trials\": 4, "
+                "\"backend\": \"naive\"}"),
+            "");
+  std::string output;
+  EXPECT_EQ(run_tool("lnc_sweep --spec " + spec_file, output), 1) << output;
+  expect_diagnosed(output, "spec file");
+
+  output.clear();
+  EXPECT_EQ(run_tool("lnc_sweep --scenario luby-mis-rounds --trials 4 --n 16 "
+                     "--backend naive",
+                     output),
+            2)
+      << output;
+  expect_diagnosed(output, "--backend");
+
+  serve::ServiceOptions options;
+  options.threads = 1;
+  serve::SweepService service(root + "/store", options);
+  const std::string response = serve::handle_request_line(
+      service,
+      "{\"scenario\": \"luby-mis-rounds\", \"trials\": 4, \"n\": [16], "
+      "\"backend\": \"naive\"}");
+  EXPECT_NE(response.find("\"status\": \"error\""), std::string::npos)
+      << response;
+  expect_diagnosed(response, "daemon request");
+  EXPECT_EQ(service.stats().trials_computed, 0u);
+
+  const std::string shard_file = root + "/naive-shard.json";
+  ASSERT_EQ(util::write_file_atomic(
+                shard_file,
+                "{\"scenario\": \"x\", \"base_seed\": 1, \"shard\": 0, "
+                "\"shard_count\": 1, \"backend\": \"naive\", \"rows\": "
+                "[{\"n\": 8, \"actual_n\": 8, \"total_trials\": 4, "
+                "\"trials\": 4, \"successes\": 2}]}"),
+            "");
+  output.clear();
+  EXPECT_EQ(run_tool("lnc_sweep --merge " + shard_file, output), 1) << output;
+  expect_diagnosed(output, "shard file");
 }
 
 // The same spec flags through lnc_sweep --cache, lnc_launch --cache and

@@ -1,9 +1,10 @@
 // Vector-engine backend tests: the acceptance gate of the trial-vectorized
-// SoA backend. Every backend (naive / batched / vectorized), every thread
-// count, every shard partition, every batch width and every fault model
-// must produce bit-identical tallies, exact sums, counter slots, and
-// deterministic telemetry (fault counters included) — forcing a backend
-// is a performance choice, never a results choice.
+// SoA backend. Both backends (batched / vectorized), every thread count,
+// every shard partition, every batch width and every fault model must
+// produce bit-identical tallies, exact sums, counter slots, and
+// deterministic telemetry (fault counters included), equal to the cold
+// reference (tests/cold_reference.h) — forcing a backend is a performance
+// choice, never a results choice.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "algo/luby_mis.h"
+#include "cold_reference.h"
 #include "graph/generators.h"
 #include "ident/identity.h"
 #include "local/batch_runner.h"
@@ -56,27 +58,6 @@ scenario::SweepResult run_with(const scenario::ScenarioSpec& base,
   return scenario::run_sweep(compiled, options);
 }
 
-void expect_tallies_identical(const local::ShardTally& a,
-                              const local::ShardTally& b,
-                              const std::string& what) {
-  EXPECT_EQ(a.trials, b.trials) << what;
-  EXPECT_EQ(a.successes, b.successes) << what;
-  EXPECT_TRUE(a.value_sum == b.value_sum)
-      << what << ": " << a.value_sum.to_hex() << " vs " << b.value_sum.to_hex();
-  EXPECT_TRUE(a.value_sum_sq == b.value_sum_sq) << what;
-  EXPECT_EQ(a.counts, b.counts) << what;
-  EXPECT_TRUE(a.telemetry.deterministic_equal(b.telemetry))
-      << what << ": msgs " << a.telemetry.messages_sent << " vs "
-      << b.telemetry.messages_sent << ", words " << a.telemetry.words_sent
-      << " vs " << b.telemetry.words_sent << ", rounds "
-      << a.telemetry.rounds_executed << " vs " << b.telemetry.rounds_executed
-      << ", dropped " << a.telemetry.messages_dropped << " vs "
-      << b.telemetry.messages_dropped << ", crashed "
-      << a.telemetry.nodes_crashed << " vs " << b.telemetry.nodes_crashed
-      << ", churned " << a.telemetry.edges_churned << " vs "
-      << b.telemetry.edges_churned;
-}
-
 void expect_results_identical(const scenario::SweepResult& a,
                               const scenario::SweepResult& b,
                               const std::string& what) {
@@ -105,13 +86,16 @@ std::vector<scenario::ScenarioSpec> vectorizable_specs() {
 
 TEST(VectorEngine, BackendsAreBitIdenticalAcrossThreadCounts) {
   for (const scenario::ScenarioSpec& spec : vectorizable_specs()) {
-    const scenario::SweepResult baseline = run_with(spec, Backend::kNaive, 1);
-    for (const Backend backend :
-         {Backend::kNaive, Backend::kBatched, Backend::kVectorized}) {
+    const scenario::CompiledScenario compiled = scenario::compile(spec);
+    ASSERT_EQ(compiled.points().size(), 1u) << spec.name;
+    const local::ExperimentPlan& plan = compiled.points()[0].plan;
+    const local::ShardTally cold = cold_reference(plan, {0, plan.trials});
+    for (const Backend backend : {Backend::kBatched, Backend::kVectorized}) {
       for (const unsigned threads : {1u, 2u, 8u}) {
-        if (backend == Backend::kNaive && threads == 1) continue;
-        expect_results_identical(
-            baseline, run_with(spec, backend, threads),
+        const scenario::SweepResult warm = run_with(spec, backend, threads);
+        ASSERT_EQ(warm.rows.size(), 1u) << spec.name;
+        expect_tallies_identical(
+            cold, warm.rows[0].tally,
             spec.name + " backend=" + local::to_string(backend) +
                 " threads=" + std::to_string(threads));
       }
@@ -137,9 +121,9 @@ TEST(VectorEngine, UnevenShardMergeReproducesUnshardedRun) {
   // the contract that makes merge_sweep_files' backend mismatch a
   // warning rather than an error.
   std::vector<scenario::SweepResult> mixed;
-  mixed.push_back(run_with(spec, Backend::kNaive, 1, 0, 3));
-  mixed.push_back(run_with(spec, Backend::kBatched, 2, 1, 3));
-  mixed.push_back(run_with(spec, Backend::kVectorized, 8, 2, 3));
+  mixed.push_back(run_with(spec, Backend::kBatched, 1, 0, 3));
+  mixed.push_back(run_with(spec, Backend::kVectorized, 2, 1, 3));
+  mixed.push_back(run_with(spec, Backend::kBatched, 8, 2, 3));
   scenario::SweepResult merged = scenario::merge_sweeps(mixed);
   expect_results_identical(whole, merged, "mixed-backend shard merge");
 }
@@ -250,10 +234,11 @@ TEST(VectorEngine, FaultModelsAreBitIdenticalAcrossBackends) {
 }
 
 TEST(VectorEngine, AutomaticConfigPicksSaneBackends) {
-  EXPECT_EQ(OptimizationConfig::automatic(64, 1, 2.0).backend,
-            Backend::kNaive);
-  EXPECT_EQ(OptimizationConfig::automatic(64, 4, 2.0).backend,
-            Backend::kBatched);
+  for (const std::uint64_t trials : {1u, 2u, 4u, 7u}) {
+    EXPECT_EQ(OptimizationConfig::automatic(64, trials, 2.0).backend,
+              Backend::kBatched)
+        << trials << " trials";
+  }
   const OptimizationConfig big = OptimizationConfig::automatic(64, 1000, 3.0);
   EXPECT_EQ(big.backend, Backend::kVectorized);
   EXPECT_GE(big.batch_trials, 4u);
@@ -266,13 +251,15 @@ TEST(VectorEngine, AutomaticConfigPicksSaneBackends) {
 }
 
 TEST(VectorEngine, BackendRoundTripsThroughStrings) {
-  for (const Backend backend : {Backend::kAuto, Backend::kNaive,
-                                Backend::kBatched, Backend::kVectorized}) {
+  for (const Backend backend :
+       {Backend::kAuto, Backend::kBatched, Backend::kVectorized}) {
     const auto parsed = local::backend_from_string(local::to_string(backend));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, backend);
   }
   EXPECT_FALSE(local::backend_from_string("simd").has_value());
+  // A retired name: every reader diagnoses it (see serve_test).
+  EXPECT_FALSE(local::backend_from_string("naive").has_value());
   EXPECT_FALSE(local::backend_from_string("").has_value());
 }
 
