@@ -9,8 +9,13 @@
 
 namespace lnc::orchestrate {
 
-RunManifest plan_run(const scenario::ScenarioSpec& spec,
-                     const std::string& run_dir, unsigned shard_count) {
+namespace {
+
+/// Freezes `spec` (and the top-up `baseline`, when given) and a fresh
+/// all-pending manifest over `trials` into run_dir.
+RunManifest plan(const scenario::ScenarioSpec& spec, const std::string& run_dir,
+                 unsigned shard_count, local::TrialRange trials,
+                 const scenario::SweepResult* baseline) {
   if (shard_count == 0) {
     throw std::runtime_error("a run needs at least one shard");
   }
@@ -18,6 +23,13 @@ RunManifest plan_run(const scenario::ScenarioSpec& spec,
   if (!error.empty()) {
     throw std::runtime_error("invalid scenario '" + spec.name +
                              "': " + error);
+  }
+  // Every shard runs a nonempty trial range.
+  if (shard_count > trials.count()) {
+    throw std::runtime_error(
+        "the run computes only " + std::to_string(trials.count()) +
+        " trial(s); use at most that many shards (asked for " +
+        std::to_string(shard_count) + ")");
   }
   std::filesystem::create_directories(run_dir);
   if (std::filesystem::exists(run_dir + "/manifest.json")) {
@@ -27,14 +39,29 @@ RunManifest plan_run(const scenario::ScenarioSpec& spec,
         "completed shards");
   }
 
-  RunManifest manifest = make_manifest(run_dir, spec.name, shard_count);
+  RunManifest manifest =
+      make_manifest(run_dir, spec.name, shard_count, trials);
   const std::string write_error = util::write_file_atomic(
       manifest.spec_path(), scenario::spec_to_json(spec));
   if (!write_error.empty()) {
     throw std::runtime_error("spec freeze failed: " + write_error);
   }
+  if (baseline != nullptr) {
+    const std::string baseline_error =
+        scenario::write_json_file(manifest.baseline_path(), *baseline);
+    if (!baseline_error.empty()) {
+      throw std::runtime_error("baseline freeze failed: " + baseline_error);
+    }
+  }
   save_manifest(manifest);
   return manifest;
+}
+
+}  // namespace
+
+RunManifest plan_run(const scenario::ScenarioSpec& spec,
+                     const std::string& run_dir, unsigned shard_count) {
+  return plan(spec, run_dir, shard_count, {0, spec.trials}, nullptr);
 }
 
 RunManifest plan_topup_run(const scenario::ScenarioSpec& spec,
@@ -44,39 +71,14 @@ RunManifest plan_topup_run(const scenario::ScenarioSpec& spec,
     throw std::runtime_error(
         "top-up baseline is incomplete — merge it (or rerun) first");
   }
-  if (baseline.trial_end == 0 && !baseline.rows.empty()) {
+  if (baseline.trial_end >= spec.trials) {
     throw std::runtime_error(
-        "top-up baseline does not declare its trial range (written by a "
-        "pre-range binary generation?)");
-  }
-  if (baseline.trial_begin != 0 || baseline.trial_end >= spec.trials) {
-    throw std::runtime_error(
-        "top-up baseline covers trials [" +
-        std::to_string(baseline.trial_begin) + ", " +
+        "top-up baseline covers trials [0, " +
         std::to_string(baseline.trial_end) + ") but the spec asks for " +
-        std::to_string(spec.trials) +
-        " — nothing to top up (or a non-prefix baseline)");
+        std::to_string(spec.trials) + " — nothing to top up");
   }
-  // An empty shard slice would degrade to a full `--shard i/k` job (a
-  // zero-width range is the "no range" encoding) — forbid more shards
-  // than there are trials to compute.
-  const std::uint64_t width = spec.trials - baseline.trial_end;
-  if (shard_count > width) {
-    throw std::runtime_error(
-        "top-up computes only " + std::to_string(width) +
-        " trial(s); use at most that many shards (asked for " +
-        std::to_string(shard_count) + ")");
-  }
-  RunManifest manifest = plan_run(spec, run_dir, shard_count);
-  manifest.trial_begin = baseline.trial_end;
-  manifest.trial_end = spec.trials;
-  const std::string write_error =
-      scenario::write_json_file(manifest.baseline_path(), baseline);
-  if (!write_error.empty()) {
-    throw std::runtime_error("baseline freeze failed: " + write_error);
-  }
-  save_manifest(manifest);
-  return manifest;
+  return plan(spec, run_dir, shard_count, {baseline.trial_end, spec.trials},
+              &baseline);
 }
 
 LaunchOutcome merge_run(const RunManifest& manifest) {
@@ -94,48 +96,14 @@ LaunchOutcome merge_run(const RunManifest& manifest) {
                     "merge, so the aggregate stays exact";
     return outcome;
   }
+  // A top-up's cached prefix [0, trial_begin) is one more range part.
   std::vector<std::string> paths;
-  paths.reserve(manifest.shards.size());
+  if (manifest.is_topup()) paths.push_back(manifest.baseline_path());
   for (const ShardRecord& record : manifest.shards) {
     paths.push_back(manifest.output_path(record.shard));
   }
   try {
-    if (manifest.is_topup()) {
-      // Baseline first, then the shard slices in trial order (shard i's
-      // range precedes shard i+1's by construction), merged by explicit
-      // extent.
-      std::vector<scenario::SweepResult> parts;
-      parts.reserve(paths.size() + 1);
-      std::string text;
-      const std::string read_error =
-          util::read_file(manifest.baseline_path(), text);
-      if (!read_error.empty()) {
-        throw std::runtime_error("top-up baseline: " + read_error);
-      }
-      parts.push_back(scenario::sweep_from_json(text, &outcome.warnings));
-      for (const std::string& path : paths) {
-        std::string shard_text;
-        const std::string shard_error = util::read_file(path, shard_text);
-        if (!shard_error.empty()) {
-          throw std::runtime_error("shard result: " + shard_error);
-        }
-        std::vector<std::string> file_warnings;
-        parts.push_back(
-            scenario::sweep_from_json(shard_text, &file_warnings));
-        for (const std::string& warning : file_warnings) {
-          outcome.warnings.push_back(path + ": " + warning);
-        }
-      }
-      const std::string cannot = scenario::can_merge_trial_ranges(parts);
-      if (!cannot.empty()) {
-        throw std::runtime_error("cannot merge top-up partitions: " +
-                                 cannot);
-      }
-      outcome.merged = scenario::merge_trial_ranges(parts);
-    } else {
-      outcome.merged =
-          scenario::merge_sweep_files(paths, &outcome.warnings);
-    }
+    outcome.merged = scenario::merge_sweep_files(paths, &outcome.warnings);
   } catch (const std::exception& ex) {
     outcome.error = ex.what();
     return outcome;

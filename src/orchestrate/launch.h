@@ -25,22 +25,24 @@
 namespace lnc::orchestrate {
 
 /// Creates the run directory (parents included), writes the frozen spec
-/// and a fresh all-pending manifest, and returns it. Throws when the spec
-/// does not validate, when the directory already holds a manifest (resume
-/// instead — silently restarting would discard completed shards), or on
-/// I/O failure. shard_count must be >= 1.
+/// and a fresh all-pending manifest over trials [0, spec.trials), and
+/// returns it. Throws when the spec does not validate, when shard_count
+/// is 0 or exceeds the trial count (checked before anything touches
+/// disk), when the directory already holds a manifest (resume instead —
+/// silently restarting would discard completed shards), or on I/O
+/// failure.
 RunManifest plan_run(const scenario::ScenarioSpec& spec,
                      const std::string& run_dir, unsigned shard_count);
 
 /// Plans a TOP-UP run: the fleet computes only trials
 /// [baseline_trials, spec.trials) of `spec`, split into shard_count
-/// contiguous ranges, and the merge folds the cached `baseline` result
-/// (frozen as baseline.json in the run directory) in front of the shard
-/// outputs via scenario::merge_trial_ranges — bit-identical to a cold
-/// full-width fleet run. `baseline` must be a complete result covering
-/// [0, baseline_trials) with baseline_trials < spec.trials, and `spec`
-/// must be the baseline's own spec at the raised trial count (same seed
-/// — the cache key's canonical one). Same directory rules as plan_run;
+/// contiguous ranges, and the merge reads the cached `baseline` result
+/// (frozen as baseline.json in the run directory) as one more range
+/// part — bit-identical to a cold full-width fleet run. `baseline` must
+/// be a complete result covering [0, baseline_trials) with
+/// baseline_trials < spec.trials, and `spec` must be the baseline's own
+/// spec at the raised trial count (same seed — the cache key's canonical
+/// one). Same directory rules as plan_run;
 /// resume works unchanged (baseline.json rides in the run directory).
 RunManifest plan_topup_run(const scenario::ScenarioSpec& spec,
                            const std::string& run_dir, unsigned shard_count,

@@ -37,6 +37,18 @@ int as_exit_code(const scenario::Json& json) {
   return static_cast<int>(value);
 }
 
+/// Every shard needs at least one trial: an empty range is no job.
+void check_split(const RunManifest& manifest) {
+  const std::uint64_t width = manifest.trial_end - manifest.trial_begin;
+  if (width < manifest.shard_count) {
+    throw std::runtime_error(
+        "manifest splits the " + std::to_string(width) + " trial(s) [" +
+        std::to_string(manifest.trial_begin) + ", " +
+        std::to_string(manifest.trial_end) + ") into " +
+        std::to_string(manifest.shard_count) + " shards");
+  }
+}
+
 }  // namespace
 
 const char* to_string(ShardState state) noexcept {
@@ -90,11 +102,13 @@ bool RunManifest::all_done() const noexcept {
 }
 
 RunManifest make_manifest(std::string run_dir, const std::string& scenario,
-                          unsigned shard_count) {
+                          unsigned shard_count, local::TrialRange trials) {
   RunManifest manifest;
   manifest.run_dir = std::move(run_dir);
   manifest.scenario = scenario;
   manifest.shard_count = shard_count;
+  manifest.trial_begin = trials.begin;
+  manifest.trial_end = trials.end;
   manifest.shards.resize(shard_count);
   for (unsigned shard = 0; shard < shard_count; ++shard) {
     manifest.shards[shard].shard = shard;
@@ -108,14 +122,9 @@ std::string manifest_to_json(const RunManifest& manifest) {
   std::ostringstream os;
   os << "{\"scenario\": \"" << util::json_escape(manifest.scenario)
      << "\", \"spec_file\": \"" << util::json_escape(manifest.spec_file)
-     << "\", \"shard_count\": " << manifest.shard_count;
-  if (manifest.is_topup()) {
-    // Only top-up runs carry the range keys — classic manifests stay
-    // byte-compatible with older binaries.
-    os << ", \"trial_begin\": " << manifest.trial_begin
-       << ", \"trial_end\": " << manifest.trial_end;
-  }
-  os << ", \"shards\": [";
+     << "\", \"shard_count\": " << manifest.shard_count
+     << ", \"trial_begin\": " << manifest.trial_begin
+     << ", \"trial_end\": " << manifest.trial_end << ", \"shards\": [";
   for (std::size_t i = 0; i < manifest.shards.size(); ++i) {
     const ShardRecord& record = manifest.shards[i];
     if (i > 0) os << ", ";
@@ -149,6 +158,7 @@ RunManifest manifest_from_json(const std::string& text,
                              std::to_string(manifest.trial_end) +
                              ") is inverted");
   }
+  if (manifest.trial_end != 0) check_split(manifest);
   const scenario::Json::Array& shards = root.at("shards").as_array();
   if (shards.size() != manifest.shard_count) {
     throw std::runtime_error(
@@ -202,7 +212,20 @@ RunManifest load_manifest(std::string run_dir) {
                              "' (not a run directory?)");
   }
   try {
-    return manifest_from_json(text, std::move(run_dir));
+    RunManifest manifest = manifest_from_json(text, std::move(run_dir));
+    if (manifest.trial_end == 0) {
+      // Written before manifests recorded their range: the run covers
+      // every trial of its frozen spec.
+      std::string spec_text;
+      const std::string spec_error =
+          util::read_file(manifest.spec_path(), spec_text);
+      if (!spec_error.empty()) {
+        throw std::runtime_error("no trial range, and " + spec_error);
+      }
+      manifest.trial_end = scenario::spec_from_json(spec_text).trials;
+      check_split(manifest);
+    }
+    return manifest;
   } catch (const std::exception& ex) {
     throw std::runtime_error("corrupt manifest '" + path +
                              "': " + ex.what());

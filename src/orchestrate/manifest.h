@@ -52,12 +52,13 @@ struct RunManifest {
   std::string scenario;                 ///< spec name (labels status lines)
   std::string spec_file = "spec.json";  ///< run-dir-relative spec path
   unsigned shard_count = 0;
-  /// When nonzero-width, this run covers only trials
-  /// [trial_begin, trial_end) of the frozen spec — a TOP-UP run planned
-  /// against a cached baseline (plan_topup_run): shards split the range
-  /// instead of [0, trials), and the merge folds baseline.json in front
-  /// of the shard files via scenario::merge_trial_ranges. 0/0 = a
-  /// classic full run (and what pre-range manifests parse as).
+  /// The trials [trial_begin, trial_end) of the frozen spec this run
+  /// computes; the shards split it into near-equal contiguous ranges.
+  /// [0, trials) for a full run; a TOP-UP run planned against a cached
+  /// baseline (plan_topup_run) starts where the baseline ends, and its
+  /// merge puts baseline.json in front of the shard files. Manifests
+  /// written before runs recorded their range parse as 0/0, and
+  /// load_manifest reads [0, trials) from the frozen spec.
   std::uint64_t trial_begin = 0;
   std::uint64_t trial_end = 0;
   std::vector<ShardRecord> shards;      ///< one per shard, index-ordered
@@ -71,26 +72,28 @@ struct RunManifest {
   /// Absolute path of the cached baseline result a top-up run extends.
   std::string baseline_path() const;
 
-  bool is_topup() const noexcept { return trial_end > trial_begin; }
+  bool is_topup() const noexcept { return trial_begin > 0; }
   bool all_done() const noexcept;
 };
 
-/// A fresh manifest for a new run: shard i pending with output
-/// shard-<i>.json. Does not touch the filesystem.
+/// A fresh manifest for a new run over `trials`: shard i pending with
+/// output shard-<i>.json. Does not touch the filesystem.
 RunManifest make_manifest(std::string run_dir, const std::string& scenario,
-                          unsigned shard_count);
+                          unsigned shard_count, local::TrialRange trials);
 
 std::string manifest_to_json(const RunManifest& manifest);
 /// Throws std::runtime_error on malformed text (missing keys, bad states,
-/// shard indices out of range or duplicated).
+/// shard indices out of range or duplicated, a trial range inverted or
+/// narrower than the shard count). Absent range keys read as 0/0.
 RunManifest manifest_from_json(const std::string& text, std::string run_dir);
 
 /// Atomic write of run_dir/manifest.json (tmp file + rename): a kill
 /// mid-save never leaves a torn manifest.
 void save_manifest(const RunManifest& manifest);
 
-/// Reads run_dir/manifest.json; throws std::runtime_error when the
-/// directory holds no (or a corrupt) manifest.
+/// Reads run_dir/manifest.json; a manifest without range keys covers
+/// [0, trials) of the run's frozen spec. Throws std::runtime_error when
+/// the directory holds no (or a corrupt) manifest.
 RunManifest load_manifest(std::string run_dir);
 
 }  // namespace lnc::orchestrate

@@ -134,20 +134,11 @@ std::vector<std::string> sweep_argv(const std::string& sweep_binary,
       sweep_binary,
       "--spec",
       job.spec_path,
+      "--trial-range",
+      std::to_string(job.trial_begin) + ":" + std::to_string(job.trial_end),
+      "--out",
+      job.output_path,
   };
-  if (job.has_trial_range()) {
-    // Explicit-extent jobs (top-up runs) carry their slice directly;
-    // --shard and --trial-range are mutually exclusive on the CLI.
-    argv.push_back("--trial-range");
-    argv.push_back(std::to_string(job.trial_begin) + ":" +
-                   std::to_string(job.trial_end));
-  } else {
-    argv.push_back("--shard");
-    argv.push_back(std::to_string(job.shard) + "/" +
-                   std::to_string(job.shard_count));
-  }
-  argv.push_back("--out");
-  argv.push_back(job.output_path);
   if (job.threads != 1) {
     argv.push_back("--threads");
     argv.push_back(std::to_string(job.threads));

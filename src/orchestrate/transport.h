@@ -1,7 +1,7 @@
 // How shard jobs reach an executor (ROADMAP "remote shard launcher").
 //
 // A Transport runs ONE shard job to completion — `lnc_sweep --spec S
-// --shard i/k --out O` — and reports how it ended. The supervisor
+// --trial-range B:E --out O` — and reports how it ended. The supervisor
 // (orchestrate/supervisor.h) owns concurrency, deadlines, and retries;
 // transports own only the mechanics of starting the process somewhere and
 // waiting for it. Two real transports ship: LocalProcessTransport
@@ -25,20 +25,15 @@ namespace lnc::orchestrate {
 /// i.e. the run directory lives on a shared filesystem, the standard
 /// cluster arrangement.
 struct ShardJob {
-  unsigned shard = 0;
-  unsigned shard_count = 1;
-  /// When nonzero-width, the job runs `--trial-range begin:end` instead
-  /// of `--shard i/k` — the explicit-extent form used by cache top-up
-  /// runs (and any planner that sizes shards unevenly). The results
-  /// merge by range (scenario::merge_trial_ranges), not by index.
+  unsigned shard = 0;  ///< the manifest's shard index (`{shard}`)
+  /// The trials [trial_begin, trial_end) the job runs (`--trial-range`);
+  /// the results merge by range (scenario::merge_trial_ranges).
   std::uint64_t trial_begin = 0;
   std::uint64_t trial_end = 0;
   std::string spec_path;    ///< frozen spec JSON (scenario::spec_to_json)
   std::string output_path;  ///< where the shard result JSON must land
   std::string log_path;     ///< attempt stdout+stderr (empty: /dev/null)
   unsigned threads = 1;     ///< lnc_sweep --threads for this job
-
-  bool has_trial_range() const noexcept { return trial_end > trial_begin; }
 };
 
 struct TransportResult {

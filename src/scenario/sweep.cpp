@@ -1,5 +1,6 @@
 #include "scenario/sweep.h"
 
+#include <algorithm>
 #include <fstream>
 #include <initializer_list>
 #include <ostream>
@@ -20,41 +21,27 @@ namespace lnc::scenario {
 
 SweepResult run_sweep(const CompiledScenario& scenario,
                       const SweepOptions& options) {
-  LNC_EXPECTS(options.shard_count > 0 && options.shard < options.shard_count);
-  if (options.trial_range) {
-    LNC_EXPECTS(options.shard == 0 && options.shard_count == 1 &&
-                "an explicit trial range cannot be combined with sharding");
-    LNC_EXPECTS(options.trial_range->begin <= options.trial_range->end &&
-                options.trial_range->end <= scenario.spec().trials &&
-                "trial range outside [0, trials)");
-  }
+  const local::TrialRange range = options.trial_range.value_or(
+      local::TrialRange{0, scenario.spec().trials});
+  LNC_EXPECTS(range.begin <= range.end &&
+              range.end <= scenario.spec().trials &&
+              "trial range outside [0, trials)");
   SweepResult result;
   result.scenario = scenario.spec().name;
   result.base_seed = scenario.spec().base_seed;
-  result.shard = options.shard;
-  result.shard_count = options.shard_count;
   result.workload = scenario.spec().workload;
   result.backend = scenario.spec().backend;
+  // Every grid point shares the spec's trial count, so the slice is
+  // uniform across rows and is the result's extent.
+  result.trial_begin = range.begin;
+  result.trial_end = range.end;
 
   local::BatchRunner runner(options.pool);
   runner.set_progress(options.progress);
   result.rows.reserve(scenario.points().size());
-  bool range_recorded = false;
   const obs::Span sweep_span("sweep",
                              obs::span_args("scenario", result.scenario));
   for (const CompiledScenario::GridPoint& point : scenario.points()) {
-    const local::TrialRange range =
-        options.trial_range
-            ? *options.trial_range
-            : local::shard_range(point.plan.trials, options.shard,
-                                 options.shard_count);
-    if (!range_recorded) {
-      // Every grid point shares the spec's trial count, so the slice is
-      // uniform across rows; record it once as the result's extent.
-      result.trial_begin = range.begin;
-      result.trial_end = range.end;
-      range_recorded = true;
-    }
     SweepRow row;
     row.requested_n = point.requested_n;
     row.actual_n = point.instance->node_count();
@@ -74,179 +61,101 @@ SweepResult run_sweep(const CompiledScenario& scenario,
   return result;
 }
 
-std::string can_merge(std::span<const SweepResult> shards) {
-  if (shards.empty()) return "no shard results to merge";
-  std::set<unsigned> seen_shards;
-  std::vector<std::uint64_t> covered(shards[0].rows.size(), 0);
-  for (const SweepResult& shard : shards) {
-    if (shard.scenario != shards[0].scenario ||
-        shard.base_seed != shards[0].base_seed ||
-        shard.rows.size() != shards[0].rows.size()) {
-      return "shards come from different scenario runs ('" + shard.scenario +
-             "' vs '" + shards[0].scenario + "')";
-    }
-    if (shard.workload != shards[0].workload) {
-      return std::string("shards tally different workloads (") +
-             local::to_string(shard.workload) + " vs " +
-             local::to_string(shards[0].workload) + ")";
-    }
-    if (shard.shard_count != shards[0].shard_count) {
-      return "shards use different split factors (" +
-             std::to_string(shard.shard_count) + " vs " +
-             std::to_string(shards[0].shard_count) + ")";
-    }
-    if (!seen_shards.insert(shard.shard).second) {
-      return "shard " + std::to_string(shard.shard) + " given twice";
-    }
-    for (std::size_t i = 0; i < covered.size(); ++i) {
-      const SweepRow& row = shard.rows[i];
-      const SweepRow& first = shards[0].rows[i];
-      if (row.requested_n != first.requested_n ||
-          row.total_trials != first.total_trials) {
-        return "shards disagree on the n-grid or trial counts";
-      }
-      if (!row.tally.counts.empty() && !first.tally.counts.empty() &&
-          row.tally.counts.size() != first.tally.counts.size()) {
-        return "shards carry counter rows of different widths (" +
-               std::to_string(row.tally.counts.size()) + " vs " +
-               std::to_string(first.tally.counts.size()) +
-               " slots at n = " + std::to_string(row.requested_n) + ")";
-      }
-      covered[i] += row.tally.trials;
-    }
-  }
-  for (std::size_t i = 0; i < covered.size(); ++i) {
-    if (covered[i] != shards[0].rows[i].total_trials) {
-      return "shards cover " + std::to_string(covered[i]) + " of " +
-             std::to_string(shards[0].rows[i].total_trials) +
-             " trials at n = " +
-             std::to_string(shards[0].rows[i].requested_n) +
-             " (missing or extra shard files)";
-    }
-  }
-  return {};
+namespace {
+
+/// The parts' indices in merge order: by trial_begin, empty ranges first
+/// among parts that start at the same trial.
+std::vector<std::size_t> range_order(std::span<const SweepResult> parts) {
+  std::vector<std::size_t> order(parts.size());
+  for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair(parts[a].trial_begin, parts[a].trial_end) <
+           std::pair(parts[b].trial_begin, parts[b].trial_end);
+  });
+  return order;
 }
 
-SweepResult merge_sweeps(std::span<const SweepResult> shards) {
-  LNC_EXPECTS(!shards.empty());
-  SweepResult merged;
-  merged.scenario = shards[0].scenario;
-  merged.base_seed = shards[0].base_seed;
-  merged.shard = 0;
-  merged.shard_count = 1;
-  merged.workload = shards[0].workload;
-  merged.backend = shards[0].backend;
-  merged.rows = shards[0].rows;
-  merged.metrics = shards[0].metrics;
-
-  // Duplicate shard files would double-count trials yet can still sum to
-  // total_trials (e.g. the same half merged twice) — reject repeats and
-  // mismatched splits outright.
-  std::set<unsigned> seen_shards = {shards[0].shard};
-  for (std::size_t s = 1; s < shards.size(); ++s) {
-    const SweepResult& shard = shards[s];
-    LNC_EXPECTS(shard.scenario == merged.scenario &&
-                shard.base_seed == merged.base_seed &&
-                shard.rows.size() == merged.rows.size() &&
-                "merging results of different scenario runs");
-    LNC_EXPECTS(shard.workload == merged.workload &&
-                "merging results of different workloads");
-    LNC_EXPECTS(shard.shard_count == shards[0].shard_count &&
-                "merging shards of different split factors");
-    LNC_EXPECTS(seen_shards.insert(shard.shard).second &&
-                "merging the same shard twice");
-    for (std::size_t i = 0; i < merged.rows.size(); ++i) {
-      SweepRow& row = merged.rows[i];
-      const SweepRow& other = shard.rows[i];
-      LNC_EXPECTS(other.requested_n == row.requested_n &&
-                  other.total_trials == row.total_trials &&
-                  "merging rows of different grid points");
-      row.tally.successes += other.tally.successes;
-      row.tally.trials += other.tally.trials;
-      // Exact accumulators merge exactly: the merged row's mean/stddev
-      // equal the unsharded run's bit for bit.
-      row.tally.value_sum.merge(other.tally.value_sum);
-      row.tally.value_sum_sq.merge(other.tally.value_sum_sq);
-      if (!other.tally.counts.empty()) {
-        if (row.tally.counts.empty()) {
-          row.tally.counts.assign(other.tally.counts.size(), 0);
-        }
-        LNC_EXPECTS(row.tally.counts.size() == other.tally.counts.size() &&
-                    "merging counter rows of different widths");
-        for (std::size_t j = 0; j < row.tally.counts.size(); ++j) {
-          row.tally.counts[j] += other.tally.counts[j];
-        }
-      }
-      row.tally.telemetry.merge(other.tally.telemetry);
-      // Machine-time across the fleet: the merged row's elapsed seconds
-      // is the sum of each shard's true wall-clock.
-      row.elapsed_seconds += other.elapsed_seconds;
-    }
-    merged.metrics.merge(shard.metrics);
-  }
-  for (const SweepRow& row : merged.rows) {
-    LNC_EXPECTS(row.tally.trials == row.total_trials &&
-                "merged shards do not cover the full trial range");
-  }
-  merged.trial_begin = 0;
-  merged.trial_end = merged.rows.empty() ? 0 : merged.rows[0].total_trials;
-  return merged;
+std::string range_text(std::uint64_t begin, std::uint64_t end) {
+  return std::string("[") + std::to_string(begin) + ", " +
+         std::to_string(end) + ")";
 }
+
+}  // namespace
 
 std::string can_merge_trial_ranges(std::span<const SweepResult> parts) {
   if (parts.empty()) return "no range partitions to merge";
-  std::uint64_t expected_begin = 0;
+  const SweepResult& first = parts[0];
+  // Per row, the counter width of the first part that carries counters.
+  std::vector<std::size_t> widths(first.rows.size(), 0);
   for (std::size_t s = 0; s < parts.size(); ++s) {
     const SweepResult& part = parts[s];
-    if (part.scenario != parts[0].scenario ||
-        part.base_seed != parts[0].base_seed ||
-        part.rows.size() != parts[0].rows.size()) {
+    const std::string name = "part " + std::to_string(s) + " " +
+                             range_text(part.trial_begin, part.trial_end);
+    if (part.scenario != first.scenario ||
+        part.base_seed != first.base_seed ||
+        part.rows.size() != first.rows.size()) {
       return "range partitions come from different scenario runs ('" +
-             part.scenario + "' vs '" + parts[0].scenario + "')";
+             part.scenario + "' vs '" + first.scenario + "')";
     }
-    if (part.workload != parts[0].workload) {
+    if (part.workload != first.workload) {
       return std::string("range partitions tally different workloads (") +
              local::to_string(part.workload) + " vs " +
-             local::to_string(parts[0].workload) + ")";
+             local::to_string(first.workload) + ")";
+    }
+    if (part.trial_end < part.trial_begin) {
+      return name + " has an inverted range";
     }
     if (part.trial_begin == 0 && part.trial_end == 0 && !part.rows.empty() &&
         part.rows[0].tally.trials != 0) {
-      return "partition " + std::to_string(s) +
+      return "part " + std::to_string(s) +
              " does not declare its trial range (file written by a "
              "pre-range binary generation?)";
-    }
-    if (part.trial_begin != expected_begin) {
-      return "partition " + std::to_string(s) + " covers trials [" +
-             std::to_string(part.trial_begin) + ", " +
-             std::to_string(part.trial_end) + ") but [" +
-             std::to_string(expected_begin) +
-             ", ...) is the next uncovered range (partitions must be "
-             "given in order and abut exactly)";
-    }
-    if (part.trial_end < part.trial_begin) {
-      return "partition " + std::to_string(s) + " has an inverted range";
     }
     const std::uint64_t extent = part.trial_end - part.trial_begin;
     for (std::size_t i = 0; i < part.rows.size(); ++i) {
       const SweepRow& row = part.rows[i];
-      const SweepRow& first = parts[0].rows[i];
-      if (row.requested_n != first.requested_n) {
+      if (row.requested_n != first.rows[i].requested_n) {
         return "range partitions disagree on the n-grid";
       }
       if (row.tally.trials != extent) {
-        return "partition " + std::to_string(s) + " tallies " +
-               std::to_string(row.tally.trials) + " trials at n = " +
-               std::to_string(row.requested_n) +
-               " but declares the range [" +
-               std::to_string(part.trial_begin) + ", " +
-               std::to_string(part.trial_end) + ")";
+        return name + " tallies " + std::to_string(row.tally.trials) +
+               " trials at n = " + std::to_string(row.requested_n);
       }
-      if (!row.tally.counts.empty() && !first.tally.counts.empty() &&
-          row.tally.counts.size() != first.tally.counts.size()) {
-        return "range partitions carry counter rows of different widths";
+      if (!row.tally.counts.empty()) {
+        if (widths[i] == 0) widths[i] = row.tally.counts.size();
+        if (row.tally.counts.size() != widths[i]) {
+          return "range partitions carry counter rows of different "
+                 "widths (" +
+                 std::to_string(row.tally.counts.size()) + " vs " +
+                 std::to_string(widths[i]) + " slots at n = " +
+                 std::to_string(row.requested_n) + ")";
+        }
       }
     }
-    expected_begin = part.trial_end;
+  }
+  const std::vector<std::size_t> order = range_order(parts);
+  std::uint64_t covered = 0;
+  for (const std::size_t s : order) {
+    const SweepResult& part = parts[s];
+    if (part.trial_begin < covered) {
+      return "part " + std::to_string(s) + " " +
+             range_text(part.trial_begin, part.trial_end) +
+             " overlaps trials already covered up to " +
+             std::to_string(covered) + " (a part given twice?)";
+    }
+    if (part.trial_begin > covered) {
+      return "trials " + range_text(covered, part.trial_begin) +
+             " are covered by no part (a missing part?)";
+    }
+    covered = part.trial_end;
+  }
+  for (const SweepRow& row : parts[order.back()].rows) {
+    if (row.total_trials != covered) {
+      return "the parts cover trials " + range_text(0, covered) +
+             " of the " + std::to_string(row.total_trials) +
+             " the last part's run declares at n = " +
+             std::to_string(row.requested_n) + " (a missing last part?)";
+    }
   }
   return {};
 }
@@ -255,17 +164,17 @@ SweepResult merge_trial_ranges(std::span<const SweepResult> parts) {
   LNC_EXPECTS(!parts.empty());
   LNC_EXPECTS(can_merge_trial_ranges(parts).empty() &&
               "merging range partitions that do not abut");
+  const std::vector<std::size_t> order = range_order(parts);
+  const SweepResult& first = parts[order.front()];
   SweepResult merged;
-  merged.scenario = parts[0].scenario;
-  merged.base_seed = parts[0].base_seed;
-  merged.shard = 0;
-  merged.shard_count = 1;
-  merged.workload = parts[0].workload;
-  merged.backend = parts[0].backend;
-  merged.rows = parts[0].rows;
-  merged.metrics = parts[0].metrics;
-  for (std::size_t s = 1; s < parts.size(); ++s) {
-    const SweepResult& part = parts[s];
+  merged.scenario = first.scenario;
+  merged.base_seed = first.base_seed;
+  merged.workload = first.workload;
+  merged.backend = first.backend;
+  merged.rows = first.rows;
+  merged.metrics = first.metrics;
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const SweepResult& part = parts[order[k]];
     merged.metrics.merge(part.metrics);
     for (std::size_t i = 0; i < merged.rows.size(); ++i) {
       SweepRow& row = merged.rows[i];
@@ -287,15 +196,17 @@ SweepResult merge_trial_ranges(std::span<const SweepResult> parts) {
         }
       }
       row.tally.telemetry.merge(other.tally.telemetry);
+      // Machine-time across the fleet: the merged row's elapsed seconds
+      // is the sum of each part's true wall-clock.
       row.elapsed_seconds += other.elapsed_seconds;
     }
   }
   merged.trial_begin = 0;
-  merged.trial_end = parts.back().trial_end;
+  merged.trial_end = parts[order.back()].trial_end;
   for (SweepRow& row : merged.rows) {
     // The merged result is a complete run at the union's trial count —
-    // the partitions' own totals (a cached run at T' carries T', its
-    // top-up carries T) are superseded.
+    // the parts' own totals (a cached run at T' carries T', its top-up
+    // carries T) are superseded.
     row.total_trials = merged.trial_end;
     LNC_EXPECTS(row.tally.trials == row.total_trials &&
                 "merged range partitions do not cover [0, total)");
@@ -476,9 +387,7 @@ std::vector<std::string> summary_lines(const SweepResult& result) {
 
 void write_json(std::ostream& os, const SweepResult& result) {
   os << "{\"scenario\": \"" << util::json_escape(result.scenario)
-     << "\", \"base_seed\": " << result.base_seed
-     << ", \"shard\": " << result.shard
-     << ", \"shard_count\": " << result.shard_count << ", \"workload\": \""
+     << "\", \"base_seed\": " << result.base_seed << ", \"workload\": \""
      << local::to_string(result.workload) << "\", \"backend\": \""
      << local::to_string(result.backend)
      << "\", \"trial_begin\": " << result.trial_begin
@@ -550,6 +459,8 @@ SweepResult sweep_from_json(const Json& root,
       }
     }
   };
+  // Older writers emitted an i-of-k shard identity next to the range;
+  // its two keys are known, and ignored.
   warn_unknown(root.as_object(),
                {"scenario", "base_seed", "shard", "shard_count", "workload",
                 "backend", "trial_begin", "trial_end", "seed_stream_epoch",
@@ -558,14 +469,17 @@ SweepResult sweep_from_json(const Json& root,
   SweepResult result;
   result.scenario = root.at("scenario").as_string();
   result.base_seed = root.at("base_seed").as_uint64();
-  result.shard = static_cast<unsigned>(root.at("shard").as_uint64());
-  result.shard_count =
-      static_cast<unsigned>(root.at("shard_count").as_uint64());
   if (root.has("trial_begin")) {
     result.trial_begin = root.at("trial_begin").as_uint64();
   }
   if (root.has("trial_end")) {
     result.trial_end = root.at("trial_end").as_uint64();
+  }
+  if (result.trial_end < result.trial_begin) {
+    throw std::runtime_error("result trial range " +
+                             range_text(result.trial_begin,
+                                        result.trial_end) +
+                             " is inverted");
   }
   if (warnings != nullptr && root.has("seed_stream_epoch")) {
     const std::uint64_t epoch = root.at("seed_stream_epoch").as_uint64();
@@ -612,6 +526,18 @@ SweepResult sweep_from_json(const Json& root,
     row.total_trials = row_json.at("total_trials").as_uint64();
     row.tally.trials = row_json.at("trials").as_uint64();
     row.tally.successes = row_json.at("successes").as_uint64();
+    if (row.tally.trials > row.total_trials) {
+      throw std::runtime_error(
+          "row n = " + std::to_string(row.requested_n) + " tallies " +
+          std::to_string(row.tally.trials) + " trials of a " +
+          std::to_string(row.total_trials) + "-trial run");
+    }
+    if (row.tally.successes > row.tally.trials) {
+      throw std::runtime_error(
+          "row n = " + std::to_string(row.requested_n) + " counts " +
+          std::to_string(row.tally.successes) + " successes in " +
+          std::to_string(row.tally.trials) + " trials");
+    }
     if (row_json.has("values")) {
       const Json& values = row_json.at("values");
       warn_unknown(values.as_object(),
@@ -651,11 +577,12 @@ SweepResult sweep_from_json(const Json& root,
         root.at("metrics"), "metrics", warnings);
   }
   if (!root.has("trial_begin") && !root.has("trial_end") &&
-      !result.rows.empty() && result.complete()) {
+      !result.rows.empty()) {
     // Pre-range files carry no extent; a complete one provably covers
-    // [0, total). Sharded legacy files stay 0/0 (unknown) — the range
+    // [0, total). Partial legacy files stay 0/0 (unknown) — the range
     // merge rejects them with a diagnostic rather than guessing.
     result.trial_end = result.rows[0].total_trials;
+    if (!result.complete()) result.trial_end = 0;
   }
   return result;
 }
@@ -711,11 +638,11 @@ SweepResult merge_sweep_files(std::span<const std::string> paths,
       }
     }
   }
-  const std::string error = can_merge(shards);
+  const std::string error = can_merge_trial_ranges(shards);
   if (!error.empty()) {
     throw std::runtime_error("cannot merge shard results: " + error);
   }
-  return merge_sweeps(shards);
+  return merge_trial_ranges(shards);
 }
 
 }  // namespace lnc::scenario

@@ -1,12 +1,13 @@
-// Executing compiled scenarios — whole, or as one shard of a
+// Executing compiled scenarios — whole, or one trial range of a
 // cross-process run (ROADMAP "Sharded batch execution").
 //
-// Sharding splits every grid point's trial range [0, trials) into
-// near-equal contiguous slices; per-trial Philox streams are pure
-// functions of the trial index, so merging shard tallies reproduces the
-// unsharded Estimate BIT FOR BIT (tests/scenario_test.cpp asserts this).
-// Shard results round-trip through JSON so `lnc_sweep --shard i/k` runs
-// can land on different machines and be merged offline.
+// A partial result is identified by its trial range [begin, end) alone.
+// Per-trial Philox streams are pure functions of the trial index, so any
+// set of abutting ranges that covers [0, trials) merges back to the
+// unsharded Estimate BIT FOR BIT (merge_trial_ranges; tests/
+// scenario_test.cpp asserts this). `lnc_sweep --shard i/k` is only a
+// spelling of the range shard_range(trials, i, k). Results round-trip
+// through JSON so ranges run on different machines can be merged offline.
 #pragma once
 
 #include <iosfwd>
@@ -25,14 +26,10 @@ class Progress;
 namespace lnc::scenario {
 
 struct SweepOptions {
-  unsigned shard = 0;        ///< this run's shard index in [0, shard_count)
-  unsigned shard_count = 1;  ///< 1 == unsharded
-  /// Explicit trial slice [begin, end) instead of an i-of-k shard —
-  /// the incremental top-up path (serve::SweepService, lnc_sweep
-  /// --trial-range). Requires shard == 0 && shard_count == 1 and
-  /// end <= the spec's trial count. Per-trial seeds depend only on the
-  /// trial index, so a ranged result merges bit-identically with any
-  /// abutting ranges (merge_trial_ranges).
+  /// The trial slice [begin, end) to run; unset runs every trial.
+  /// Requires begin <= end <= the spec's trial count. Per-trial seeds
+  /// depend only on the trial index, so a ranged result merges
+  /// bit-identically with any abutting ranges (merge_trial_ranges).
   std::optional<local::TrialRange> trial_range;
   const stats::ThreadPool* pool = nullptr;  ///< null => sequential trials
   /// Optional live-progress heartbeat, ticked once per completed trial
@@ -58,8 +55,6 @@ struct SweepRow {
 struct SweepResult {
   std::string scenario;
   std::uint64_t base_seed = 0;
-  unsigned shard = 0;
-  unsigned shard_count = 1;
   /// The workload the rows tally (which ShardTally block is meaningful).
   local::WorkloadKind workload = local::WorkloadKind::kSuccess;
   /// The backend the spec requested (kAuto unless forced). Shards run
@@ -68,11 +63,10 @@ struct SweepResult {
   /// fleet is visible rather than silent.
   local::OptimizationConfig::Backend backend =
       local::OptimizationConfig::Backend::kAuto;
-  /// The contiguous trial slice the rows tally, [trial_begin, trial_end).
-  /// 0/0 means unknown (files written by pre-range binary generations);
-  /// complete results cover [0, total_trials). Carried through JSON so
-  /// range-partitioned results (cache top-ups, elastic shards) merge by
-  /// explicit extent rather than i-of-k index.
+  /// The contiguous trial slice the rows tally, [trial_begin, trial_end):
+  /// the result's only identity as a part of a larger run. 0/0 with
+  /// nonzero tallies means unknown (partial files written by pre-range
+  /// binary generations); complete results cover [0, total_trials).
   std::uint64_t trial_begin = 0;
   std::uint64_t trial_end = 0;
   std::vector<SweepRow> rows;
@@ -86,43 +80,36 @@ struct SweepResult {
 
   /// True when the result covers every trial (unsharded or merged).
   bool complete() const noexcept {
+    if (trial_begin != 0) return false;
     for (const SweepRow& row : rows) {
-      if (row.tally.trials != row.total_trials) return false;
+      if (row.tally.trials != row.total_trials ||
+          row.total_trials != trial_end) {
+        return false;
+      }
     }
-    return shard_count == 1;
+    return true;
   }
 };
 
-/// Executes (this shard of) a compiled scenario.
+/// Executes a compiled scenario (or the trial range options name).
 SweepResult run_sweep(const CompiledScenario& scenario,
                       const SweepOptions& options = {});
 
-/// Pre-flight check for merge_sweeps: empty string when the shards fit
-/// together (same scenario run, same split factor, distinct shard
-/// indices, full trial coverage), else a human-readable description of
-/// the first problem. CLI callers surface this instead of hitting the
-/// library asserts below.
-std::string can_merge(std::span<const SweepResult> shards);
-
-/// Merges shard results of the same scenario run (matching name, seed,
-/// grid, and total trial counts; together covering every trial). The
-/// merged rows' estimates equal an unsharded run's exactly. Asserts on
-/// input can_merge rejects.
-SweepResult merge_sweeps(std::span<const SweepResult> shards);
-
 /// Pre-flight check for merge_trial_ranges: empty string when the parts
-/// are range-partitioned results of the same scenario/seed/workload that
-/// start at trial 0 and abut contiguously (each part's rows covering
-/// exactly its [trial_begin, trial_end) extent), else a diagnostic.
-/// Unlike can_merge, parts may disagree on total_trials — a cached
-/// result at T' merges with a [T', T) top-up into a result at T.
+/// are range results of the same scenario/seed/workload that, taken in
+/// any order, abut exactly from trial 0 (each part's rows tallying
+/// exactly its [trial_begin, trial_end) extent) and end at the last
+/// part's total_trials; else a diagnostic. A duplicated part shows up
+/// as an overlap, a missing middle part as a gap, a missing last part
+/// as coverage short of the total. Parts may disagree on total_trials:
+/// a cached result at T' merges with a [T', T) top-up into a result at T.
 std::string can_merge_trial_ranges(std::span<const SweepResult> parts);
 
-/// Merges contiguous trial-range partitions in order of trial_begin:
-/// cached accumulators over [0, T') plus a delta over [T', T) produce
-/// the run-at-T result BIT FOR BIT (per-trial seeds depend only on the
+/// Merges trial-range parts (in any order; sorted by trial_begin): cached
+/// accumulators over [0, T') plus a delta over [T', T) produce the
+/// run-at-T result BIT FOR BIT (per-trial seeds depend only on the
 /// trial index, never on the total count). The merged result's
-/// total_trials is the final part's trial_end. Asserts on input
+/// total_trials is the last part's trial_end. Asserts on input
 /// can_merge_trial_ranges rejects.
 SweepResult merge_trial_ranges(std::span<const SweepResult> parts);
 
@@ -164,6 +151,10 @@ std::vector<std::string> summary_lines(const SweepResult& result);
 /// (`seed_stream_epoch`, `build_rev` — util/build_info.h); readers
 /// tolerate their absence and warn when the file's epoch differs from
 /// the running binary's, so a stale result is diagnosable, not wrong.
+/// The i-of-k shard keys older writers emitted are read as known and
+/// ignored: the trial range alone identifies a part. Impossible
+/// tallies (successes above trials, trials above total_trials, an
+/// inverted range) throw std::runtime_error.
 void write_json(std::ostream& os, const SweepResult& result);
 SweepResult sweep_from_json(const std::string& text,
                             std::vector<std::string>* warnings = nullptr);
@@ -182,12 +173,12 @@ SweepResult sweep_from_json(const Json& root,
 std::string write_json_file(const std::string& path,
                             const SweepResult& result);
 
-/// Reads complete shard-result files and merges them — the gather step
-/// shared by `lnc_sweep --merge` and the distributed launcher
+/// Reads result files and merges them with merge_trial_ranges — the
+/// gather step shared by `lnc_sweep --merge` and the distributed launcher
 /// (src/orchestrate). Throws std::runtime_error naming the offending file
-/// on an unreadable/unparseable path and with can_merge's diagnostic when
-/// the shards do not fit together; per-file parse warnings are prefixed
-/// with their path.
+/// on an unreadable/unparseable path and with can_merge_trial_ranges'
+/// diagnostic when the parts do not fit together; per-file parse
+/// warnings are prefixed with their path.
 SweepResult merge_sweep_files(std::span<const std::string> paths,
                               std::vector<std::string>* warnings = nullptr);
 

@@ -129,15 +129,14 @@ TEST(FaultModels, UnevenThreeWayShardMergeSurvivesJsonRoundTrip) {
     std::vector<scenario::SweepResult> shards;
     for (unsigned s = 0; s < 3; ++s) {
       scenario::SweepOptions options;
-      options.shard = s;
-      options.shard_count = 3;
+      options.trial_range = local::shard_range(spec.trials, s, 3);
       std::ostringstream os;
       scenario::write_json(os, scenario::run_sweep(compiled, options));
       std::vector<std::string> warnings;
       shards.push_back(scenario::sweep_from_json(os.str(), &warnings));
       EXPECT_TRUE(warnings.empty()) << name << ": " << warnings[0];
     }
-    const scenario::SweepResult merged = scenario::merge_sweeps(shards);
+    const scenario::SweepResult merged = scenario::merge_trial_ranges(shards);
     expect_rows_bit_identical(full, merged, name);
   }
 }

@@ -7,13 +7,13 @@
 // success and a value preset.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "mutations.h"
 #include "orchestrate/launch.h"
 #include "orchestrate/manifest.h"
 #include "orchestrate/supervisor.h"
@@ -22,6 +22,7 @@
 #include "scenario/scenario.h"
 #include "scenario/spec_json.h"
 #include "scenario/sweep.h"
+#include "util/file_util.h"
 
 namespace {
 
@@ -85,7 +86,8 @@ orchestrate::SupervisorOptions quiet_supervisor() {
 }
 
 TEST(Manifest, JsonRoundTripPreservesEveryField) {
-  RunManifest manifest = orchestrate::make_manifest("/tmp/x", "demo", 3);
+  RunManifest manifest =
+      orchestrate::make_manifest("/tmp/x", "demo", 3, {0, 30});
   manifest.shards[0].state = ShardState::kDone;
   manifest.shards[0].attempts = 1;
   manifest.shards[1].state = ShardState::kFailed;
@@ -105,6 +107,9 @@ TEST(Manifest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(parsed.scenario, "demo");
   EXPECT_EQ(parsed.spec_file, "spec.json");
   EXPECT_EQ(parsed.shard_count, 3u);
+  EXPECT_EQ(parsed.trial_begin, 0u);
+  EXPECT_EQ(parsed.trial_end, 30u);
+  EXPECT_FALSE(parsed.is_topup());
   ASSERT_EQ(parsed.shards.size(), 3u);
   for (unsigned shard = 0; shard < 3; ++shard) {
     const orchestrate::ShardRecord& want = manifest.shards[shard];
@@ -121,7 +126,8 @@ TEST(Manifest, JsonRoundTripPreservesEveryField) {
 TEST(Manifest, SaveLoadRoundTripsThroughTheRunDirectory) {
   const std::string dir = fresh_dir("manifest-io");
   std::filesystem::create_directories(dir);
-  RunManifest manifest = orchestrate::make_manifest(dir, "io-demo", 2);
+  RunManifest manifest =
+      orchestrate::make_manifest(dir, "io-demo", 2, {0, 8});
   manifest.shards[1].state = ShardState::kDone;
   orchestrate::save_manifest(manifest);
   // Atomic save leaves no tmp file behind.
@@ -160,6 +166,26 @@ TEST(Manifest, RejectsCorruptInput) {
               "shards": []})",
           "/tmp/x"),
       std::runtime_error);
+  // More shards than trials in the range: a shard would run nothing.
+  try {
+    orchestrate::manifest_from_json(
+        R"({"scenario": "x", "spec_file": "spec.json", "shard_count": 2,
+            "trial_begin": 4, "trial_end": 5, "shards": []})",
+        "/tmp/x");
+    ADD_FAILURE() << "a 1-trial range split into 2 shards loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("into 2 shards"),
+              std::string::npos)
+        << error.what();
+  }
+  // A range-less manifest (the older format) needs its frozen spec.
+  const std::string dir = fresh_dir("rangeless-no-spec");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/manifest.json")
+      << R"({"scenario": "x", "spec_file": "spec.json", "shard_count": 1,
+             "shards": [{"shard": 0, "state": "pending", "attempts": 0,
+                         "output": "shard-0.json"}]})";
+  EXPECT_THROW(orchestrate::load_manifest(dir), std::runtime_error);
 }
 
 // Mutated manifests (a fixed seed and case count): truncations, bit
@@ -167,7 +193,8 @@ TEST(Manifest, RejectsCorruptInput) {
 // in a manifest that says exactly what the text says — no value narrowed
 // or rounded on the way in — never in a crash or sanitizer report.
 TEST(Manifest, MutatedManifestsLoadFaithfullyOrAreDiagnosed) {
-  RunManifest full = orchestrate::make_manifest("/unused", "mutants", 3);
+  RunManifest full =
+      orchestrate::make_manifest("/unused", "mutants", 3, {0, 40});
   full.shards[0].state = ShardState::kDone;
   full.shards[0].attempts = 1;
   full.shards[1].state = ShardState::kFailed;
@@ -176,9 +203,8 @@ TEST(Manifest, MutatedManifestsLoadFaithfullyOrAreDiagnosed) {
   full.shards[1].error = "exit 99";
   full.shards[2].state = ShardState::kRunning;
   full.shards[2].exit_code = -1;
-  RunManifest topup = orchestrate::make_manifest("/unused", "topup", 2);
-  topup.trial_begin = 100;
-  topup.trial_end = 250;
+  RunManifest topup =
+      orchestrate::make_manifest("/unused", "topup", 2, {100, 250});
   const std::vector<std::string> bases = {orchestrate::manifest_to_json(full),
                                           orchestrate::manifest_to_json(topup)};
   const std::vector<std::string> fields = {
@@ -187,50 +213,25 @@ TEST(Manifest, MutatedManifestsLoadFaithfullyOrAreDiagnosed) {
   const std::vector<std::string> edges = {
       "1e309", "-1e309", "18446744073709551616", "-0", "-8", "0.5",
       "4294967297", "2147483648", "1e-320", "0", "1"};
-  std::uint64_t state = 20261022;
-  const auto next = [&state] {
-    state += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  };
+  Mutator mutate(20261022);
   const std::string dir = fresh_dir("mutated-manifests");
   std::filesystem::create_directories(dir);
   int loaded = 0;
   int diagnosed = 0;
   for (int c = 0; c < 400; ++c) {
-    std::string text = bases[next() % bases.size()];
-    switch (next() % 4) {
-      case 0:  // truncation
-        text.resize(next() % text.size());
+    std::string text = mutate.pick(bases);
+    switch (mutate.next() % 4) {
+      case 0:
+        mutate.truncate(text);
         break;
-      case 1:  // bit flips
-        for (int k = 1 + static_cast<int>(next() % 3); k > 0; --k) {
-          text[next() % text.size()] ^= static_cast<char>(1u << (next() % 8));
-        }
+      case 1:
+        mutate.flip(text);
         break;
-      case 2: {  // the shard list wrapped in 1..300 arrays
-        const std::size_t depth = 1 + next() % 300;
-        const std::size_t at = text.find('[');
-        const std::size_t close = text.rfind(']') + 1;
-        text = text.substr(0, at) + std::string(depth, '[') +
-               text.substr(at, close - at) + std::string(depth, ']') +
-               text.substr(close);
+      case 2:  // the shard list wrapped in 1..300 arrays
+        mutate.nest(text, text.find('['), text.rfind(']') + 1);
         break;
-      }
-      default: {  // an edge number over one numeric value
-        const std::string& field = fields[next() % fields.size()];
-        const std::size_t at = text.find(field);
-        if (at == std::string::npos) break;  // a classic manifest's range
-        const std::size_t begin = at + field.size();
-        std::size_t end = begin;
-        while (end < text.size() &&
-               (std::isdigit(text[end]) || text[end] == '-')) {
-          ++end;
-        }
-        text.replace(begin, end - begin, edges[next() % edges.size()]);
-      }
+      default:  // an edge number over one numeric value
+        mutate.edge_over(text, mutate.pick(fields), edges);
     }
     {
       std::ofstream file(dir + "/manifest.json", std::ios::trunc);
@@ -313,7 +314,8 @@ TEST(SpecJson, SpecRoundTripsFieldForField) {
 TEST(Transport, TemplateRenderingQuotesAndSubstitutes) {
   orchestrate::ShardJob job;
   job.shard = 2;
-  job.shard_count = 5;
+  job.trial_begin = 40;
+  job.trial_end = 60;
   job.spec_path = "/run/spec.json";
   job.output_path = "/run/shard-2.json";
 
@@ -323,8 +325,8 @@ TEST(Transport, TemplateRenderingQuotesAndSubstitutes) {
   const std::string rendered = orchestrate::render_template(
       "ssh worker{shard} {cmd}", "lnc_sweep", job);
   EXPECT_EQ(rendered,
-            "ssh worker2 lnc_sweep --spec /run/spec.json --shard 2/5 "
-            "--out /run/shard-2.json");
+            "ssh worker2 lnc_sweep --spec /run/spec.json --trial-range "
+            "40:60 --out /run/shard-2.json");
 
   // No {cmd}: the command is appended.
   EXPECT_EQ(orchestrate::render_template("srun -N1", "lnc_sweep", job)
@@ -472,22 +474,71 @@ TEST(EndToEnd, ValuePresetMergesBitIdenticalToUnsharded) {
   EXPECT_EQ(want.stddev, got.stddev);
 }
 
-TEST(Manifest, TrialRangeRoundTripsAndStaysOptional) {
-  RunManifest manifest = orchestrate::make_manifest("/tmp/x", "demo", 2);
-  // Classic manifests must not grow range keys: older binaries resume
-  // them, and byte-stable JSON is the compatibility contract.
-  EXPECT_EQ(orchestrate::manifest_to_json(manifest).find("trial_begin"),
-            std::string::npos);
-  EXPECT_FALSE(manifest.is_topup());
+TEST(Manifest, EveryRunRecordsItsTrialRange) {
+  const ScenarioSpec spec = shrunk("ring-amos-yes", 10, 16);
+  const std::string dir = fresh_dir("range-keys");
+  const RunManifest planned = orchestrate::plan_run(spec, dir, 3);
+  EXPECT_EQ(planned.trial_begin, 0u);
+  EXPECT_EQ(planned.trial_end, 10u);
+  EXPECT_FALSE(planned.is_topup());
+  const std::string text = orchestrate::manifest_to_json(planned);
+  EXPECT_NE(text.find("\"trial_begin\": 0, \"trial_end\": 10"),
+            std::string::npos)
+      << text;
 
-  manifest.trial_begin = 30;
-  manifest.trial_end = 80;
+  RunManifest topup =
+      orchestrate::make_manifest("/tmp/x", "demo", 2, {30, 80});
   const RunManifest parsed = orchestrate::manifest_from_json(
-      orchestrate::manifest_to_json(manifest), "/tmp/x");
+      orchestrate::manifest_to_json(topup), "/tmp/x");
   EXPECT_TRUE(parsed.is_topup());
   EXPECT_EQ(parsed.trial_begin, 30u);
   EXPECT_EQ(parsed.trial_end, 80u);
   EXPECT_EQ(parsed.baseline_path(), "/tmp/x/baseline.json");
+}
+
+TEST(Resume, ManifestWithoutRangeKeysResumesOverItsFrozenSpec) {
+  // Manifests written before runs recorded their range carry no range
+  // keys; they load as [0, trials) of spec.json and resume to the exact
+  // unsharded result.
+  const ScenarioSpec spec = shrunk("luby-mis-rounds", 12, 32);
+  const std::string dir = fresh_dir("rangeless");
+  orchestrate::plan_run(spec, dir, 3);
+  std::string text;
+  ASSERT_EQ(util::read_file(dir + "/manifest.json", text), "");
+  const std::string keys = ", \"trial_begin\": 0, \"trial_end\": 12";
+  ASSERT_NE(text.find(keys), std::string::npos) << text;
+  text.erase(text.find(keys), keys.size());
+  ASSERT_EQ(util::write_file_atomic(dir + "/manifest.json", text), "");
+
+  RunManifest resumed = orchestrate::load_manifest(dir);
+  EXPECT_EQ(resumed.trial_begin, 0u);
+  EXPECT_EQ(resumed.trial_end, 12u);
+  orchestrate::LocalProcessTransport local(kSweepBinary);
+  const orchestrate::LaunchOutcome outcome =
+      orchestrate::execute_run(resumed, local, quiet_supervisor());
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  expect_rows_bit_identical(reference_run(spec), outcome.merged);
+}
+
+TEST(Resume, PlanRefusesMoreShardsThanTrialsBeforeTouchingDisk) {
+  // Both kinds of fleet: a full run of 2 trials and a top-up of 2.
+  const ScenarioSpec spec = shrunk("ring-amos-yes", 2, 16);
+  const std::string dir = fresh_dir("too-many-shards");
+  try {
+    orchestrate::plan_run(spec, dir, 3);
+    ADD_FAILURE() << "3 shards of 2 trials were planned";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("only 2 trial(s)"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  ScenarioSpec big = spec;
+  big.trials = 4;
+  EXPECT_THROW(
+      orchestrate::plan_topup_run(big, dir, 3, reference_run(spec)),
+      std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(EndToEnd, TopUpFleetMergesBitIdenticalToColdRun) {

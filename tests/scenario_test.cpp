@@ -6,6 +6,8 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -16,6 +18,7 @@
 
 #include "algo/weak_color_mc.h"
 #include "local/engine.h"
+#include "mutations.h"
 #include "scenario/presets.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -32,6 +35,13 @@ ScenarioSpec shrunk(const ScenarioSpec& preset, std::uint64_t trials) {
   spec.trials = trials;
   spec.n_grid = {preset.n_grid.front()};
   return spec;
+}
+
+/// Runs only half `half` (0 or 1) of the spec's trials.
+scenario::SweepOptions half_options(const ScenarioSpec& spec, unsigned half) {
+  scenario::SweepOptions options;
+  options.trial_range = local::shard_range(spec.trials, half, 2);
+  return options;
 }
 
 TEST(Registry, CatalogueHasTheAdvertisedSurface) {
@@ -116,16 +126,10 @@ TEST(Sharding, TwoWayMergeEqualsUnshardedBitForBit) {
     const scenario::CompiledScenario compiled = scenario::compile(spec);
 
     const scenario::SweepResult full = scenario::run_sweep(compiled);
-    scenario::SweepOptions shard0;
-    shard0.shard = 0;
-    shard0.shard_count = 2;
-    scenario::SweepOptions shard1;
-    shard1.shard = 1;
-    shard1.shard_count = 2;
     const scenario::SweepResult parts[] = {
-        scenario::run_sweep(compiled, shard0),
-        scenario::run_sweep(compiled, shard1)};
-    const scenario::SweepResult merged = scenario::merge_sweeps(parts);
+        scenario::run_sweep(compiled, half_options(spec, 0)),
+        scenario::run_sweep(compiled, half_options(spec, 1))};
+    const scenario::SweepResult merged = scenario::merge_trial_ranges(parts);
 
     ASSERT_EQ(merged.rows.size(), full.rows.size()) << spec.name;
     for (std::size_t i = 0; i < full.rows.size(); ++i) {
@@ -151,15 +155,14 @@ TEST(Sharding, UnevenThreeWayMergeAndJsonRoundTrip) {
   std::vector<scenario::SweepResult> shards;
   for (unsigned s = 0; s < 3; ++s) {
     scenario::SweepOptions options;
-    options.shard = s;
-    options.shard_count = 3;
+    options.trial_range = local::shard_range(spec.trials, s, 3);
     // Round-trip every shard through its JSON wire format, as the
     // cross-process workflow does.
     std::ostringstream os;
     scenario::write_json(os, scenario::run_sweep(compiled, options));
     shards.push_back(scenario::sweep_from_json(os.str()));
   }
-  const scenario::SweepResult merged = scenario::merge_sweeps(shards);
+  const scenario::SweepResult merged = scenario::merge_trial_ranges(shards);
   EXPECT_EQ(scenario::row_estimate(merged.rows[0]).p_hat,
             scenario::row_estimate(full.rows[0]).p_hat);
   EXPECT_EQ(merged.rows[0].tally.successes, full.rows[0].tally.successes);
@@ -173,15 +176,10 @@ TEST(Sharding, TelemetryTwoWayMergeEqualsUnshardedBitForBit) {
     const ScenarioSpec spec = shrunk(preset, 9);
     const scenario::CompiledScenario compiled = scenario::compile(spec);
     const scenario::SweepResult full = scenario::run_sweep(compiled);
-    scenario::SweepOptions shard0;
-    shard0.shard_count = 2;
-    scenario::SweepOptions shard1;
-    shard1.shard = 1;
-    shard1.shard_count = 2;
     const scenario::SweepResult parts[] = {
-        scenario::run_sweep(compiled, shard0),
-        scenario::run_sweep(compiled, shard1)};
-    const scenario::SweepResult merged = scenario::merge_sweeps(parts);
+        scenario::run_sweep(compiled, half_options(spec, 0)),
+        scenario::run_sweep(compiled, half_options(spec, 1))};
+    const scenario::SweepResult merged = scenario::merge_trial_ranges(parts);
     ASSERT_EQ(merged.rows.size(), full.rows.size()) << spec.name;
     for (std::size_t i = 0; i < full.rows.size(); ++i) {
       const local::Telemetry& want = full.rows[i].tally.telemetry;
@@ -207,15 +205,14 @@ TEST(Sharding, TelemetryUnevenThreeWayMergeSurvivesJsonRoundTrip) {
   std::vector<scenario::SweepResult> shards;
   for (unsigned s = 0; s < 3; ++s) {  // 10 trials over 3 shards: 4/3/3
     scenario::SweepOptions options;
-    options.shard = s;
-    options.shard_count = 3;
+    options.trial_range = local::shard_range(spec.trials, s, 3);
     std::ostringstream os;
     scenario::write_json(os, scenario::run_sweep(compiled, options));
     std::vector<std::string> warnings;
     shards.push_back(scenario::sweep_from_json(os.str(), &warnings));
     EXPECT_TRUE(warnings.empty()) << warnings[0];
   }
-  const scenario::SweepResult merged = scenario::merge_sweeps(shards);
+  const scenario::SweepResult merged = scenario::merge_trial_ranges(shards);
   EXPECT_TRUE(merged.rows[0].tally.telemetry.deterministic_equal(
       full.rows[0].tally.telemetry));
 }
@@ -227,6 +224,7 @@ TEST(ValueSweep, SummaryLinesAreGrepStableAndThreadInvariant) {
   scenario::SweepResult result;
   result.scenario = "golden";
   result.workload = local::WorkloadKind::kValue;
+  result.trial_end = 2;
   scenario::SweepRow row;
   row.requested_n = 8;
   row.actual_n = 8;
@@ -261,22 +259,18 @@ TEST(ValueSweep, SummaryLinesAreGrepStableAndThreadInvariant) {
   EXPECT_NE(sequential[0].find(" trials=12"), std::string::npos);
 
   // Sharded (incomplete) results and success workloads emit no lines.
-  scenario::SweepOptions half;
-  half.shard_count = 2;
-  EXPECT_TRUE(
-      scenario::summary_lines(scenario::run_sweep(compiled, half)).empty());
+  EXPECT_TRUE(scenario::summary_lines(
+                  scenario::run_sweep(compiled, half_options(spec, 0)))
+                  .empty());
 }
 
 TEST(ValueSweep, JsonRoundTripCarriesTheMeanBlock) {
   const ScenarioSpec* preset = scenario::find_preset("luby-mis-rounds");
   ASSERT_NE(preset, nullptr);
-  const scenario::CompiledScenario compiled =
-      scenario::compile(shrunk(*preset, 9));
-
-  scenario::SweepOptions options;
-  options.shard = 1;
-  options.shard_count = 2;
-  const scenario::SweepResult shard = scenario::run_sweep(compiled, options);
+  const ScenarioSpec spec = shrunk(*preset, 9);
+  const scenario::CompiledScenario compiled = scenario::compile(spec);
+  const scenario::SweepResult shard =
+      scenario::run_sweep(compiled, half_options(spec, 1));
   std::ostringstream os;
   scenario::write_json(os, shard);
   const std::string text = os.str();
@@ -365,16 +359,16 @@ TEST(ValueSweep, WarnsOnUnknownValueRowKeysButStillParses) {
 TEST(ValueSweep, MergeRejectsMixedWorkloads) {
   const ScenarioSpec* value_preset = scenario::find_preset("luby-mis-rounds");
   ASSERT_NE(value_preset, nullptr);
-  const scenario::CompiledScenario compiled =
-      scenario::compile(shrunk(*value_preset, 8));
-  scenario::SweepOptions half;
-  half.shard_count = 2;
-  scenario::SweepResult shard0 = scenario::run_sweep(compiled, half);
-  half.shard = 1;
-  scenario::SweepResult shard1 = scenario::run_sweep(compiled, half);
+  const ScenarioSpec spec = shrunk(*value_preset, 8);
+  const scenario::CompiledScenario compiled = scenario::compile(spec);
+  const scenario::SweepResult shard0 =
+      scenario::run_sweep(compiled, half_options(spec, 0));
+  scenario::SweepResult shard1 =
+      scenario::run_sweep(compiled, half_options(spec, 1));
   shard1.workload = local::WorkloadKind::kSuccess;  // simulated stale file
   const scenario::SweepResult mixed[] = {shard0, shard1};
-  EXPECT_NE(scenario::can_merge(mixed).find("workload"), std::string::npos);
+  EXPECT_NE(scenario::can_merge_trial_ranges(mixed).find("workload"),
+            std::string::npos);
 }
 
 TEST(SweepJson, WarnsOnUnrecognizedKeysButStillParses) {
@@ -400,25 +394,222 @@ TEST(SweepJson, WarnsOnUnrecognizedKeysButStillParses) {
   EXPECT_EQ(scenario::sweep_from_json(text).rows.size(), 1u);
 }
 
-TEST(Sharding, CanMergeRejectsDuplicateAndIncompleteShardSets) {
+TEST(Sharding, RangeMergeTakesAnyOrderAndDiagnosesOverlapGapAndMissingLast) {
   const ScenarioSpec* preset = scenario::find_preset("ring-amos-yes");
   ASSERT_NE(preset, nullptr);
-  const ScenarioSpec spec = shrunk(*preset, 8);
+  const ScenarioSpec spec = shrunk(*preset, 32);
   const scenario::CompiledScenario compiled = scenario::compile(spec);
-  scenario::SweepOptions half;
-  half.shard_count = 2;
-  const scenario::SweepResult shard0 = scenario::run_sweep(compiled, half);
-  half.shard = 1;
-  const scenario::SweepResult shard1 = scenario::run_sweep(compiled, half);
+  const scenario::SweepResult full = scenario::run_sweep(compiled);
+  // --shard 0/2, 2/4 and 3/4: two split factors, one partition.
+  const auto shard = [&](unsigned index, unsigned count) {
+    scenario::SweepOptions options;
+    options.trial_range = local::shard_range(spec.trials, index, count);
+    return scenario::run_sweep(compiled, options);
+  };
+  const scenario::SweepResult a = shard(0, 2);
+  const scenario::SweepResult b = shard(2, 4);
+  const scenario::SweepResult c = shard(3, 4);
 
-  const scenario::SweepResult ok[] = {shard0, shard1};
-  EXPECT_EQ(scenario::can_merge(ok), "");
-  // The same half twice sums to the right trial count but double-counts.
-  const scenario::SweepResult duplicate[] = {shard0, shard0};
-  EXPECT_NE(scenario::can_merge(duplicate), "");
-  // A missing half leaves trials uncovered.
-  const scenario::SweepResult incomplete[] = {shard0};
-  EXPECT_NE(scenario::can_merge(incomplete), "");
+  std::vector<scenario::SweepResult> parts = {a, b, c};
+  std::sort(parts.begin(), parts.end(),
+            [](const auto& x, const auto& y) {
+              return x.trial_begin < y.trial_begin;
+            });
+  do {
+    ASSERT_EQ(scenario::can_merge_trial_ranges(parts), "");
+    const scenario::SweepResult merged = scenario::merge_trial_ranges(parts);
+    EXPECT_TRUE(merged.complete());
+    ASSERT_EQ(merged.rows.size(), full.rows.size());
+    EXPECT_EQ(merged.rows[0].tally.successes, full.rows[0].tally.successes);
+    EXPECT_EQ(merged.rows[0].tally.trials, full.rows[0].tally.trials);
+    EXPECT_TRUE(merged.rows[0].tally.telemetry.deterministic_equal(
+        full.rows[0].tally.telemetry));
+  } while (std::next_permutation(
+      parts.begin(), parts.end(), [](const auto& x, const auto& y) {
+        return x.trial_begin < y.trial_begin;
+      }));
+
+  const auto diagnosis = [](std::vector<scenario::SweepResult> given) {
+    return scenario::can_merge_trial_ranges(given);
+  };
+  // A part given twice overlaps itself, even when the set is complete.
+  EXPECT_NE(diagnosis({c, a, b, b}).find("overlaps"), std::string::npos);
+  EXPECT_NE(diagnosis({a, a}).find("overlaps"), std::string::npos);
+  // A missing middle part leaves a gap.
+  EXPECT_NE(diagnosis({c, a}).find("[16, 24) are covered by no part"),
+            std::string::npos)
+      << diagnosis({c, a});
+  // A missing first part leaves a gap at trial 0.
+  EXPECT_NE(diagnosis({b, c}).find("covered by no part"), std::string::npos);
+  // A missing last part leaves the run short of its total.
+  EXPECT_NE(diagnosis({b, a}).find("missing last part"), std::string::npos)
+      << diagnosis({b, a});
+  EXPECT_NE(diagnosis({a}).find("missing last part"), std::string::npos);
+}
+
+/// Writes `texts` as result files under the test temp root and returns
+/// their paths.
+std::vector<std::string> write_parts(
+    const std::string& name, const std::vector<std::string>& texts) {
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    paths.push_back((std::filesystem::path(::testing::TempDir()) /
+                     ("lnc-" + name + "-" + std::to_string(i) + ".json"))
+                        .string());
+    std::ofstream(paths.back(), std::ios::trunc) << texts[i];
+  }
+  return paths;
+}
+
+/// The result files of `spec` split with --shard i/count, in order.
+std::vector<std::string> shard_texts(const ScenarioSpec& spec,
+                                     unsigned count) {
+  const scenario::CompiledScenario compiled = scenario::compile(spec);
+  std::vector<std::string> texts;
+  for (unsigned s = 0; s < count; ++s) {
+    scenario::SweepOptions options;
+    options.trial_range = local::shard_range(spec.trials, s, count);
+    std::ostringstream os;
+    scenario::write_json(os, scenario::run_sweep(compiled, options));
+    texts.push_back(os.str());
+  }
+  return texts;
+}
+
+/// Replaces the first number after `field` in `text`.
+void overwrite_number(std::string& text, const std::string& field,
+                      const std::string& value) {
+  const std::size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos) << field;
+  const std::size_t begin = at + field.size();
+  std::size_t end = begin;
+  while (end < text.size() && std::isdigit(text[end])) ++end;
+  text.replace(begin, end - begin, value);
+}
+
+TEST(SweepJson, ImpossibleTalliesAreDiagnosed) {
+  const ScenarioSpec* preset = scenario::find_preset("ring-amos-yes");
+  ASSERT_NE(preset, nullptr);
+  const std::vector<std::string> halves = shard_texts(shrunk(*preset, 30), 2);
+  const auto diagnosis = [](const std::string& text) -> std::string {
+    try {
+      scenario::sweep_from_json(text);
+    } catch (const std::runtime_error& error) {
+      return error.what();
+    }
+    return "";
+  };
+  // More successes than trials: a merge would print p_hat above 1.
+  std::string text = halves[0];
+  overwrite_number(text, "\"successes\": ", "74");
+  EXPECT_NE(diagnosis(text).find("74 successes in 15 trials"),
+            std::string::npos)
+      << diagnosis(text);
+  const std::vector<std::string> paths =
+      write_parts("impossible", {text, halves[1]});
+  EXPECT_THROW(scenario::merge_sweep_files(paths), std::runtime_error);
+  // More trials than the run has.
+  text = halves[1];
+  overwrite_number(text, "\"total_trials\": ", "14");
+  EXPECT_NE(diagnosis(text).find("15 trials of a 14-trial run"),
+            std::string::npos)
+      << diagnosis(text);
+  // An inverted range.
+  text = halves[1];
+  overwrite_number(text, "\"trial_end\": ", "3");
+  EXPECT_NE(diagnosis(text).find("[15, 3) is inverted"), std::string::npos)
+      << diagnosis(text);
+}
+
+TEST(SweepJson, ShardFilesWithRetiredShardKeysStillMerge) {
+  // Files written before results dropped their i-of-k identity carry
+  // "shard"/"shard_count" next to the range. They read without warnings,
+  // and the keys are ignored: only the range places a part.
+  const ScenarioSpec* preset = scenario::find_preset("ring-amos-yes");
+  ASSERT_NE(preset, nullptr);
+  const ScenarioSpec spec = shrunk(*preset, 30);
+  std::vector<std::string> texts = shard_texts(spec, 2);
+  const std::string seed = "\"base_seed\": " + std::to_string(spec.base_seed);
+  ASSERT_EQ(texts[0].find("shard"), std::string::npos) << texts[0];
+  texts[0].insert(texts[0].find(seed) + seed.size(),
+                  ", \"shard\": 0, \"shard_count\": 2");
+  // A key that no longer means anything cannot be narrowed into a wrong
+  // index either.
+  texts[1].insert(texts[1].find(seed) + seed.size(),
+                  ", \"shard\": 4294967297, \"shard_count\": 2");
+  std::vector<std::string> warnings;
+  const scenario::SweepResult merged = scenario::merge_sweep_files(
+      write_parts("retired-keys", {texts[1], texts[0]}), &warnings);
+  EXPECT_TRUE(warnings.empty()) << warnings[0];
+  const scenario::SweepResult full =
+      scenario::run_sweep(scenario::compile(spec));
+  EXPECT_TRUE(merged.complete());
+  EXPECT_EQ(merged.rows[0].tally.successes, full.rows[0].tally.successes);
+  EXPECT_EQ(merged.rows[0].tally.trials, full.rows[0].tally.trials);
+}
+
+// Mutated shard files (a fixed seed and case count): truncations, bit
+// flips, deep nesting and edge numbers over the tallies and the range of
+// one part of a 3-way split must each end in a diagnostic or in a merge
+// whose rows are complete and possible — never in a crash or sanitizer
+// report.
+TEST(ShardFiles, MutatedShardFilesMergeFaithfullyOrAreDiagnosed) {
+  std::vector<std::vector<std::string>> bases;
+  for (const char* name : {"ring-amos-yes", "ring-amos-words"}) {
+    const ScenarioSpec* preset = scenario::find_preset(name);
+    ASSERT_NE(preset, nullptr) << name;
+    bases.push_back(shard_texts(shrunk(*preset, 12), 3));
+  }
+  const std::vector<std::string> fields = {
+      "\"trials\": ",      "\"successes\": ", "\"total_trials\": ",
+      "\"trial_begin\": ", "\"trial_end\": ", "\"counts\": ["};
+  const std::vector<std::string> edges = {
+      "1e309", "-1e309", "18446744073709551616", "18446744073709551615",
+      "-0",    "-8",     "0.5",                  "4294967297",
+      "1e-320", "0",     "1",                    "4",
+      "12",    "13"};
+  Mutator mutate(20261023);
+  int merged_count = 0;
+  int diagnosed = 0;
+  for (int c = 0; c < 400; ++c) {
+    std::vector<std::string> texts = mutate.pick(bases);
+    std::string& text = texts[mutate.next() % texts.size()];
+    switch (mutate.next() % 4) {
+      case 0:
+        mutate.truncate(text);
+        break;
+      case 1:
+        mutate.flip(text);
+        break;
+      case 2: {  // the rows wrapped in 1..300 arrays
+        const std::string field = "\"rows\": ";
+        mutate.nest(text, text.find(field) + field.size(),
+                    text.rfind(']') + 1);
+        break;
+      }
+      default:  // an edge number over one tally or range value
+        mutate.edge_over(text, mutate.pick(fields), edges);
+    }
+    const std::vector<std::string> paths = write_parts("mutated", texts);
+    const std::string where = "case " + std::to_string(c) + ": " + text;
+    scenario::SweepResult merged;
+    try {
+      merged = scenario::merge_sweep_files(paths);
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()), "") << where;
+      ++diagnosed;
+      continue;
+    }
+    ++merged_count;
+    EXPECT_TRUE(merged.complete()) << where;
+    for (const scenario::SweepRow& row : merged.rows) {
+      EXPECT_EQ(row.tally.trials, row.total_trials) << where;
+      EXPECT_LE(row.tally.successes, row.tally.trials) << where;
+    }
+  }
+  // Both outcomes occur: the mutations reach past the parser.
+  EXPECT_GT(merged_count, 0);
+  EXPECT_GT(diagnosed, 0);
 }
 
 TEST(SpecJson, FullWidthSeedsRoundTripExactly) {
@@ -554,16 +745,26 @@ TEST(ValueSweep, CanMergeRejectsMismatchedCounterWidths) {
   // layout must be refused with a diagnostic, not an abort.
   const ScenarioSpec* preset = scenario::find_preset("ring-amos-words");
   ASSERT_NE(preset, nullptr);
-  const scenario::CompiledScenario compiled =
-      scenario::compile(shrunk(*preset, 8));
-  scenario::SweepOptions half;
-  half.shard_count = 2;
-  const scenario::SweepResult shard0 = scenario::run_sweep(compiled, half);
-  half.shard = 1;
-  scenario::SweepResult shard1 = scenario::run_sweep(compiled, half);
+  const ScenarioSpec spec = shrunk(*preset, 8);
+  const scenario::CompiledScenario compiled = scenario::compile(spec);
+  const scenario::SweepResult shard0 =
+      scenario::run_sweep(compiled, half_options(spec, 0));
+  scenario::SweepResult shard1 =
+      scenario::run_sweep(compiled, half_options(spec, 1));
   shard1.rows[0].tally.counts.push_back(7);  // extra foreign slot
   const scenario::SweepResult mismatched[] = {shard0, shard1};
-  EXPECT_NE(scenario::can_merge(mismatched).find("widths"),
+  EXPECT_NE(scenario::can_merge_trial_ranges(mismatched).find("widths"),
+            std::string::npos);
+  // A counter-less part first must not hide the mismatch of the others.
+  scenario::SweepResult bare = shard0;
+  bare.rows[0].tally.counts.clear();
+  scenario::SweepResult third = shard1;
+  third.trial_begin = shard1.trial_end;
+  third.trial_end = shard1.trial_end;
+  third.rows[0].tally.trials = 0;
+  third.rows[0].tally.counts.pop_back();
+  const scenario::SweepResult hidden[] = {bare, shard1, third};
+  EXPECT_NE(scenario::can_merge_trial_ranges(hidden).find("widths"),
             std::string::npos);
 }
 

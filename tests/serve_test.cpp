@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 
 #include "local/batch_runner.h"
+#include "mutations.h"
 #include "scenario/presets.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_json.h"
@@ -331,7 +332,7 @@ TEST(TrialRanges, SplitRunsMergeBitIdentically) {
   expect_rows_bit_identical(whole, merged);
 }
 
-TEST(TrialRanges, GapsAndDisorderAreRejected) {
+TEST(TrialRanges, AnyOrderMergesAndGapsAreRejected) {
   const ScenarioSpec spec = shrunk("ring-amos-yes", 20, 16);
   const scenario::CompiledScenario compiled = scenario::compile(spec);
   auto slice = [&](std::uint64_t begin, std::uint64_t end) {
@@ -350,10 +351,12 @@ TEST(TrialRanges, GapsAndDisorderAreRejected) {
                 std::vector<scenario::SweepResult>{a, late}),
             "")
       << "a gap [8,10) must not merge";
-  EXPECT_NE(scenario::can_merge_trial_ranges(
-                std::vector<scenario::SweepResult>{b, a}),
-            "")
-      << "out-of-order parts must not merge";
+  // Parts merge in any order: the range, not the position, places them.
+  const std::vector<scenario::SweepResult> reversed = {b, a};
+  ASSERT_EQ(scenario::can_merge_trial_ranges(reversed), "");
+  expect_rows_bit_identical(
+      scenario::merge_trial_ranges(std::vector<scenario::SweepResult>{a, b}),
+      scenario::merge_trial_ranges(reversed));
   EXPECT_NE(scenario::can_merge_trial_ranges(
                 std::vector<scenario::SweepResult>{b}),
             "")
@@ -578,37 +581,25 @@ TEST(DaemonProtocol, MutatedRequestLinesAnswerOkOrError) {
   const std::vector<std::string> edges = {
       "1e309", "-1e309", "18446744073709551616", "-0", "-8", "0", "1",
       "1e-320", "0.5", "4294967295"};
-  std::uint64_t state = 20261020;
-  const auto next = [&state] {
-    state += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  };
-  const auto edge = [&] { return edges[next() % edges.size()]; };
+  Mutator mutate(20261020);
+  const auto edge = [&] { return mutate.pick(edges); };
   int answered = 0;
   int refused = 0;
   for (int c = 0; c < 400; ++c) {
-    std::string line = bases[next() % bases.size()];
-    switch (next() % 4) {
+    std::string line = mutate.pick(bases);
+    switch (mutate.next() % 4) {
       case 0:  // truncation
-        line.resize(next() % line.size());
+        mutate.truncate(line);
         break;
-      case 1:  // byte flips
-        for (int k = 1 + static_cast<int>(next() % 3); k > 0; --k) {
-          line[next() % line.size()] ^=
-              static_cast<char>(1u << (next() % 8));
-        }
+      case 1:  // bit flips
+        mutate.flip(line);
         break;
-      case 2: {  // deep nesting around a value
-        const std::size_t depth = 1 + next() % 300;
-        line = "{\"scenario\": " + std::string(depth, '[') +
-               "\"ring-amos-yes\"" + std::string(depth, ']') + "}";
+      case 2:  // deep nesting around a value
+        line = R"({"scenario": "ring-amos-yes"})";
+        mutate.nest(line, line.find(": ") + 2, line.size() - 1);
         break;
-      }
       default:  // edge numbers in every numeric slot
-        switch (next() % 4) {
+        switch (mutate.next() % 4) {
           case 0:
             line = R"({"scenario": "ring-amos-yes", "n": [16], "trials": )" +
                    edge() + "}";
@@ -684,51 +675,32 @@ TEST(ResultStore, MutatedEntriesAreDiagnosedMissesNeverWrongHits) {
       "\"messages\": ", "\"seed_stream_epoch\": "};
   const std::vector<std::string> edges = {
       "1e309", "-1e309", "18446744073709551616", "-0", "-8", "0.5", "1e-320"};
-  std::uint64_t state = 20261021;
-  const auto next = [&state] {
-    state += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  };
+  Mutator mutate(20261021);
   int forged = 0;
   for (int c = 0; c < 400; ++c) {
-    const Base& base = bases[next() % bases.size()];
+    const Base& base = mutate.pick(bases);
     std::string text = base.text;
     std::string kind;
-    switch (next() % 4) {
-      case 0:  // truncation
+    switch (mutate.next() % 4) {
+      case 0:
         kind = "truncation";
-        text.resize(next() % text.size());
+        mutate.truncate(text);
         break;
-      case 1:  // bit flips
+      case 1:
         kind = "bit flips";
-        for (int k = 1 + static_cast<int>(next() % 3); k > 0; --k) {
-          text[next() % text.size()] ^= static_cast<char>(1u << (next() % 8));
-        }
+        mutate.flip(text);
         break;
       case 2: {  // the result wrapped in 1..300 arrays
         kind = "deep nesting";
-        const std::size_t depth = 1 + next() % 300;
         const std::string field = "\"result\": ";
-        const std::size_t at = text.find(field) + field.size();
-        const std::size_t close = text.rfind('}');
-        text = text.substr(0, at) + std::string(depth, '[') +
-               text.substr(at, close - at) + std::string(depth, ']') +
-               text.substr(close);
+        mutate.nest(text, text.find(field) + field.size(), text.rfind('}'));
         break;
       }
       default: {  // an edge number over one numeric value
         kind = "edge number";
-        const std::string& field = fields[next() % fields.size()];
-        const std::size_t at = text.find(field);
-        ASSERT_NE(at, std::string::npos) << field;
-        const std::size_t begin = at + field.size();
-        std::size_t end = begin;
-        while (end < text.size() && std::isdigit(text[end])) ++end;
-        text.replace(begin, end - begin, edges[next() % edges.size()]);
-        if (next() % 4 == 0) {
+        const std::string& field = mutate.pick(fields);
+        ASSERT_TRUE(mutate.edge_over(text, field, edges)) << field;
+        if (mutate.next() % 4 == 0) {
           kind += " (re-digested)";
           text = forge(text);
           ++forged;
@@ -764,6 +736,39 @@ TEST(ResultStore, MutatedEntriesAreDiagnosedMissesNeverWrongHits) {
     EXPECT_TRUE(store.lookup(base.entry.key, &diagnostic).has_value())
         << diagnostic;
   }
+}
+
+TEST(ResultStore, EntryWithRetiredShardKeysStillHits) {
+  // Entries written before results dropped their i-of-k identity carry
+  // "shard"/"shard_count" in the stored result. They parse without
+  // warnings and still hit with the stored bits.
+  const serve::ResultStore store(fresh_dir("retired-shard-keys"));
+  const ScenarioSpec spec = shrunk("ring-amos-yes", 8, 16);
+  CacheEntry entry;
+  entry.key = serve::cache_key(spec);
+  entry.spec = spec;
+  entry.result = cold_run(spec);
+  ASSERT_EQ(store.store(entry), "");
+  std::string text;
+  ASSERT_EQ(util::read_file(store.path_for(entry.key), text), "");
+  // The stored form: `{"digest": "<64 hex>", ` and then the document the
+  // digest covers.
+  const std::string head = "{\"digest\": \"";
+  std::string rest = text.substr(head.size() + 64 + 3);
+  const std::string seed = "\"base_seed\": " + std::to_string(spec.base_seed);
+  ASSERT_NE(rest.find(seed), std::string::npos) << rest;
+  rest.insert(rest.find(seed) + seed.size(),
+              ", \"shard\": 0, \"shard_count\": 1");
+  text = head + serve::sha256_hex(rest) + "\", " + rest;
+  ASSERT_EQ(util::write_file_atomic(store.path_for(entry.key), text), "");
+
+  std::vector<std::string> warnings;
+  serve::entry_from_json(text, &warnings);
+  EXPECT_TRUE(warnings.empty()) << warnings[0];
+  std::string diagnostic;
+  const std::optional<CacheEntry> hit = store.lookup(entry.key, &diagnostic);
+  ASSERT_TRUE(hit.has_value()) << diagnostic;
+  expect_rows_bit_identical(entry.result, hit->result);
 }
 
 // ------------------------------------------------- spec front end --

@@ -207,8 +207,8 @@ scenario::SweepResult sharded_merge(const scenario::CompiledScenario& compiled,
   std::vector<scenario::SweepResult> shards;
   for (unsigned s = 0; s < shard_count; ++s) {
     scenario::SweepOptions options;
-    options.shard = s;
-    options.shard_count = shard_count;
+    options.trial_range =
+        local::shard_range(compiled.spec().trials, s, shard_count);
     options.pool = pool;
     std::ostringstream os;
     scenario::write_json(os, scenario::run_sweep(compiled, options));
@@ -216,8 +216,8 @@ scenario::SweepResult sharded_merge(const scenario::CompiledScenario& compiled,
     shards.push_back(scenario::sweep_from_json(os.str(), &warnings));
     EXPECT_TRUE(warnings.empty()) << warnings[0];
   }
-  EXPECT_EQ(scenario::can_merge(shards), "");
-  return scenario::merge_sweeps(shards);
+  EXPECT_EQ(scenario::can_merge_trial_ranges(shards), "");
+  return scenario::merge_trial_ranges(shards);
 }
 
 /// A preset shrunk to one grid point and an uneven trial count (10 over

@@ -50,8 +50,7 @@ scenario::SweepResult run_with(const scenario::ScenarioSpec& base,
   EXPECT_EQ(scenario::validate(spec), "");
   const scenario::CompiledScenario compiled = scenario::compile(spec);
   scenario::SweepOptions options;
-  options.shard = shard;
-  options.shard_count = shard_count;
+  options.trial_range = local::shard_range(spec.trials, shard, shard_count);
   std::optional<stats::ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   options.pool = pool ? &*pool : nullptr;
@@ -114,7 +113,7 @@ TEST(VectorEngine, UnevenShardMergeReproducesUnshardedRun) {
   for (unsigned s = 0; s < 3; ++s) {
     shards.push_back(run_with(spec, Backend::kVectorized, 2, s, 3));
   }
-  expect_results_identical(whole, scenario::merge_sweeps(shards),
+  expect_results_identical(whole, scenario::merge_trial_ranges(shards),
                            "3-way vectorized shard merge");
 
   // Mixed-backend shards must merge to the same numbers too — that is
@@ -124,7 +123,7 @@ TEST(VectorEngine, UnevenShardMergeReproducesUnshardedRun) {
   mixed.push_back(run_with(spec, Backend::kBatched, 1, 0, 3));
   mixed.push_back(run_with(spec, Backend::kVectorized, 2, 1, 3));
   mixed.push_back(run_with(spec, Backend::kBatched, 8, 2, 3));
-  scenario::SweepResult merged = scenario::merge_sweeps(mixed);
+  scenario::SweepResult merged = scenario::merge_trial_ranges(mixed);
   expect_results_identical(whole, merged, "mixed-backend shard merge");
 }
 

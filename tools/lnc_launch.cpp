@@ -1,6 +1,7 @@
 // lnc_launch — the distributed sweep orchestrator (src/orchestrate).
 //
-// Turns any scenario into a fleet of `lnc_sweep --shard i/k` jobs, runs
+// Turns any scenario into a fleet of `lnc_sweep --trial-range B:E` jobs
+// (K near-equal slices of the run's trials; K may not exceed them), runs
 // them over a pluggable transport with per-job timeouts and
 // retry-with-backoff, records every state transition in a persistent run
 // manifest, and gathers the shard results into the EXACT unsharded
@@ -436,7 +437,6 @@ int main(int argc, char** argv) {
         // BEFORE plan_run puts anything on disk.
         orchestrate::ShardJob probe;
         probe.shard = 0;
-        probe.shard_count = options.shards;
         probe.spec_path = run_dir + "/spec.json";
         probe.output_path = run_dir + "/shard-0.json";
         orchestrate::render_template(*options.ssh_template,

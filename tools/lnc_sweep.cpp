@@ -17,8 +17,8 @@
 //       Merge shard result files into the full estimate.
 //
 // Run flags:
-//   --shard i/k      run only trial slice i of k (emits a mergeable tally)
-//   --trial-range B:E  run only trials [B, E)
+//   --shard i/k      run only trial slice i of k: shard_range(trials, i, k)
+//   --trial-range B:E  run only trials [B, E) (emits a mergeable tally)
 //   --threads N      worker threads (0 = hardware concurrency; default 1)
 //   --cache DIR      answer from / write back to the result store
 //   --out FILE       also write the result as JSON (shard or complete)
@@ -31,6 +31,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -78,8 +79,8 @@ int usage(std::ostream& os, int code) {
         "--cache DIR reads/writes the content-addressed result store\n"
         "(src/serve): a repeated query is answered from cache, a raised\n"
         "--trials runs only the missing trial range and merges exactly.\n"
-        "--trial-range B:E runs only trials [B, E) — the slice form of\n"
-        "--shard, used by cache top-ups and range-partitioned fleets.\n"
+        "--trial-range B:E runs only trials [B, E); --shard i/k names\n"
+        "the i-th of k near-equal ranges. Ranges --merge in any order.\n"
         "--trace FILE records hierarchical spans (sweep/row/batch/\n"
         "node-range) as Chrome trace-event JSON — open in Perfetto or\n"
         "chrome://tracing — and adds a `metrics` block (latency\n"
@@ -162,8 +163,8 @@ struct Options {
   scenario::SpecFlags spec;
   std::vector<std::string> merge_files;
 
-  unsigned shard = 0;
-  unsigned shard_count = 1;
+  /// --shard i/k as given; each spec resolves it to a trial range.
+  std::optional<std::pair<unsigned, unsigned>> shard;
   std::optional<local::TrialRange> trial_range;
   std::optional<std::string> cache_dir;
   unsigned threads = 1;
@@ -205,22 +206,22 @@ Options parse_args(int argc, char** argv) {
         throw std::runtime_error(
             "--shard expects non-negative integers i/k, got '" + text + "'");
       }
-      options.shard = static_cast<unsigned>(*index);
-      options.shard_count = static_cast<unsigned>(*count);
-      // Diagnose precisely — the launch supervisor keys off this exit
-      // code, and "out of range" alone buries which bound was violated.
-      if (options.shard_count == 0) {
+      // Diagnose precisely — "out of range" alone buries which bound
+      // was violated.
+      if (*count == 0) {
         throw std::runtime_error("--shard " + text +
                                  " is invalid: the shard count k must be "
                                  "at least 1");
       }
-      if (options.shard >= options.shard_count) {
+      if (*index >= *count) {
         throw std::runtime_error(
             "--shard " + text + " is invalid: the shard index i must "
             "satisfy i < k (indices are 0-based, so the last shard of k=" +
-            std::to_string(options.shard_count) + " is " +
-            std::to_string(options.shard_count - 1) + ")");
+            std::to_string(*count) + " is " + std::to_string(*count - 1) +
+            ")");
       }
+      options.shard = {static_cast<unsigned>(*index),
+                       static_cast<unsigned>(*count)};
     } else if (arg == "--trial-range") {
       const std::string text = args.value();
       const std::size_t colon = text.find(':');
@@ -263,12 +264,12 @@ Options parse_args(int argc, char** argv) {
     throw std::runtime_error("--all and " + options.spec.source_flag +
                              " both name the spec source; give one");
   }
-  if (options.trial_range && options.shard_count > 1) {
+  if (options.trial_range && options.shard) {
     throw std::runtime_error("--trial-range and --shard are mutually "
-                             "exclusive (a range IS an explicit shard)");
+                             "exclusive (a shard IS a trial range)");
   }
   if (options.cache_dir &&
-      (options.shard_count > 1 || options.trial_range ||
+      (options.shard || options.trial_range ||
        !options.merge_files.empty())) {
     throw std::runtime_error("--cache serves complete results only — it "
                              "cannot be combined with --shard, "
@@ -363,10 +364,14 @@ int run_one(const scenario::ScenarioSpec& spec, const Options& options,
                                     &std::cerr);
     obs::install_node_progress(&*node_progress.heartbeat);
   }
-  if (options.trial_range && options.trial_range->end > spec.trials) {
-    std::cerr << "--trial-range [" << options.trial_range->begin << ", "
-              << options.trial_range->end << ") exceeds the spec's "
-              << spec.trials << " trials\n";
+  // From here on a shard is only the trial range it names for this spec.
+  const std::optional<local::TrialRange> range =
+      options.shard ? local::shard_range(spec.trials, options.shard->first,
+                                         options.shard->second)
+                    : options.trial_range;
+  if (range && range->end > spec.trials) {
+    std::cerr << "--trial-range [" << range->begin << ", " << range->end
+              << ") exceeds the spec's " << spec.trials << " trials\n";
     return 1;
   }
   scenario::SweepResult result;
@@ -392,20 +397,14 @@ int run_one(const scenario::ScenarioSpec& spec, const Options& options,
   } else {
     const scenario::CompiledScenario compiled = scenario::compile(spec);
     scenario::SweepOptions sweep_options;
-    sweep_options.shard = options.shard;
-    sweep_options.shard_count = options.shard_count;
-    sweep_options.trial_range = options.trial_range;
+    sweep_options.trial_range = range;
     sweep_options.pool = pool;
     std::optional<obs::Progress> trial_progress;
     if (options.progress) {
-      const local::TrialRange range =
-          options.trial_range
-              ? *options.trial_range
-              : local::shard_range(spec.trials, options.shard,
-                                   options.shard_count);
       trial_progress.emplace(
           "sweep:" + spec.name,
-          range.count() * compiled.points().size(), "trials", &std::cerr);
+          (range ? range->count() : spec.trials) * compiled.points().size(),
+          "trials", &std::cerr);
       sweep_options.progress = &*trial_progress;
     }
     result = scenario::run_sweep(compiled, sweep_options);
@@ -421,13 +420,7 @@ int run_one(const scenario::ScenarioSpec& spec, const Options& options,
        << spec.statistic;
   }
   os << ", seed = " << spec.base_seed;
-  if (options.shard_count > 1) {
-    os << ", shard " << options.shard << "/" << options.shard_count;
-  }
-  if (options.trial_range) {
-    os << ", trials [" << options.trial_range->begin << ", "
-       << options.trial_range->end << ")";
-  }
+  if (range) os << ", trials [" << range->begin << ", " << range->end << ")";
   os << ") ===\n";
   if (!spec.doc.empty()) os << spec.doc << "\n";
   scenario::to_table(result, options.telemetry).print(os);
