@@ -34,7 +34,7 @@ struct DecisionOutcome {
   std::vector<graph::NodeId> rejecting;  ///< counted nodes voting false
 
   /// The paper's Reject(u, sigma') set is `rejecting` of an unrestricted
-  /// run under a fixed decision seed.
+  /// evaluate() run under a fixed decision seed (accepts() builds none).
 };
 
 struct EvaluateOptions {
@@ -45,10 +45,10 @@ struct EvaluateOptions {
   /// here (same simulation-theorem accounting as the direct ball runner:
   /// one announcement per member of each counted node's ball, the ball's
   /// canonical word encoding, and max(radius, 1) rounds per evaluation).
-  /// Honored by direct evaluate() calls only: the plan factories in
-  /// decide/experiment_plans.h REPLACE this per trial with the executing
-  /// worker's arena accumulator — a single caller-supplied sink shared
-  /// across BatchRunner workers would race; read plan telemetry from
+  /// Honored by direct evaluate()/accepts() calls only: the plan
+  /// factories in decide/experiment_plans.h REPLACE this per trial with the
+  /// executing worker's arena accumulator — a single caller-supplied sink
+  /// shared across BatchRunner workers would race; read plan telemetry from
   /// BatchRunner::last_telemetry() / ShardTally::telemetry instead.
   local::Telemetry* telemetry = nullptr;
 
@@ -88,5 +88,16 @@ DecisionOutcome evaluate(const local::Instance& inst,
                          const RandomizedDecider& decider,
                          const rand::CoinProvider& coins,
                          const EvaluateOptions& options = {});
+
+/// The verdict of the randomized evaluate() alone, for callers that read
+/// only `accepted`. When the run's balls come from an atlas it stops at
+/// the first counted node that rejects; its telemetry charges are those of
+/// evaluate() all the same (every counted node's ball, from the atlas's
+/// totals).
+bool accepts(const local::Instance& inst,
+             std::span<const local::Label> output,
+             const RandomizedDecider& decider,
+             const rand::CoinProvider& coins,
+             const EvaluateOptions& options = {});
 
 }  // namespace lnc::decide

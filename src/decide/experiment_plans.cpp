@@ -31,9 +31,8 @@ local::ExperimentPlan acceptance_plan(
     trial_options.telemetry = &env.arena->telemetry();
     trial_options.ball = &env.arena->ball_workspace();
     if (fault::engaged(options.fault)) trial_options.fault_coins = &fault_coins;
-    const DecisionOutcome outcome =
-        evaluate(inst, output, decider, coins, trial_options);
-    return outcome.accepted == success_on_accept;
+    return accepts(inst, output, decider, coins, trial_options) ==
+           success_on_accept;
   };
   return plan;
 }
@@ -53,11 +52,12 @@ local::ExperimentPlan construct_then_decide_plan(
     // labeling to fill, so each node's verdict recomputes the outputs of
     // its decision ball's members from their own construction balls.
     // Outputs are pure functions of (ball, identities, construction
-    // coins), and the conjunction over nodes is taken WITHOUT early exit,
-    // so the trial result and the telemetry charges (each node charges
-    // its construction ball once and its decision ball once;
+    // coins), so the trial result and the telemetry charges (each node
+    // charges its construction ball once and its decision ball once;
     // recomputation is not communication) are bit-identical to the
-    // materialized path's.
+    // materialized path's. Unlike that path, which stops at the first
+    // rejecting node when an atlas serves it, this loop cannot exit early:
+    // its charges need each collected ball (ROADMAP item 5).
     LNC_EXPECTS(mode == local::ExecMode::kBalls);
     LNC_EXPECTS(!options.far_from.has_value());
     LNC_EXPECTS(!fault::engaged(options.fault) &&
@@ -169,9 +169,8 @@ local::ExperimentPlan construct_then_decide_plan(
         trial_options.realized_faults = &env.arena->ball_workspace().faults;
       }
     }
-    const DecisionOutcome outcome =
-        evaluate(inst, output, decider, d_coins, trial_options);
-    return outcome.accepted == success_on_accept;
+    return accepts(inst, output, decider, d_coins, trial_options) ==
+           success_on_accept;
   };
   return plan;
 }
@@ -210,10 +209,8 @@ local::ExperimentPlan guarantee_side_plan(
     trial_options.telemetry = &arena.telemetry();
     trial_options.ball = &arena.ball_workspace();
     if (fault::engaged(options.fault)) trial_options.fault_coins = &fault_coins;
-    const DecisionOutcome outcome =
-        evaluate(sample.inst(), sample.output, decider, coins,
-                 trial_options);
-    return outcome.accepted == want_accept;
+    return accepts(sample.inst(), sample.output, decider, coins,
+                   trial_options) == want_accept;
   };
   return plan;
 }

@@ -32,6 +32,8 @@ std::unique_ptr<const BallAtlas> BallAtlas::build(const Graph& g, int radius,
     view.collect(g, v, radius, scratch);
     atlas->bytes_ += view_bytes(view);
     if (atlas->bytes_ > budget) return nullptr;
+    atlas->total_members_ += view.size();
+    atlas->total_encoded_words_ += view.encoded_words();
     // The copy sizes every vector to the ball exactly.
     atlas->balls_.push_back(view);
   }

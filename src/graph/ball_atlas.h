@@ -54,12 +54,22 @@ class BallAtlas {
   /// Approximate heap footprint (views plus their vectors).
   std::size_t bytes() const noexcept { return bytes_; }
 
+  /// Sums over all balls of size() and of encoded_words(): the modeled
+  /// telemetry charge of inspecting every ball once (local/telemetry.h),
+  /// so a run that reads every ball need not sum them itself.
+  std::uint64_t total_members() const noexcept { return total_members_; }
+  std::uint64_t total_encoded_words() const noexcept {
+    return total_encoded_words_;
+  }
+
  private:
   explicit BallAtlas(int radius) : radius_(radius) {}
 
   int radius_;
   std::vector<BallView> balls_;
   std::size_t bytes_ = 0;
+  std::uint64_t total_members_ = 0;
+  std::uint64_t total_encoded_words_ = 0;
 };
 
 /// Thread-safe map from (graph uid, radius) to atlas. Lookups and builds

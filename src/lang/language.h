@@ -82,13 +82,13 @@ class LclLanguage : public Language {
       const local::Instance& inst, std::span<const local::Label> output,
       local::BallWorkspace* balls = nullptr) const;
 
-  /// |F(G)|.
+  /// |F(G)|, counted without building F(G).
   std::size_t count_bad_balls(const local::Instance& inst,
                               std::span<const local::Label> output,
                               local::BallWorkspace* balls = nullptr) const;
 
  private:
-  /// Membership == no node's ball is bad.
+  /// Membership == no node's ball is bad; stops at the first bad ball.
   bool contains_impl(const local::Instance& inst,
                      std::span<const local::Label> output,
                      local::BallWorkspace* balls) const override;

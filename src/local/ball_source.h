@@ -73,6 +73,9 @@ class BallSource {
     return workspace.ball;
   }
 
+  /// The atlas serving this run, or null when every ball is collected.
+  const graph::BallAtlas* atlas() const noexcept { return atlas_; }
+
  private:
   const graph::Graph* graph_;
   const graph::ImplicitTopology* implicit_;

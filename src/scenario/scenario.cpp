@@ -457,9 +457,8 @@ CompiledScenario compile(const ScenarioSpec& spec) {
             trial_options.telemetry = &env.arena->telemetry();
             trial_options.ball = &env.arena->ball_workspace();
             if (faults != nullptr) trial_options.fault_coins = &f_coins;
-            const decide::DecisionOutcome outcome = decide::evaluate(
-                *inst_ptr, output, *decider, d_coins, trial_options);
-            return outcome.accepted == accept;
+            return decide::accepts(*inst_ptr, output, *decider, d_coins,
+                                   trial_options) == accept;
           });
     }
 
@@ -545,9 +544,8 @@ CompiledScenario compile(const ScenarioSpec& spec) {
               trial_options.telemetry = &env.arena->telemetry();
               trial_options.ball = &env.arena->ball_workspace();
               if (faults != nullptr) trial_options.fault_coins = &f_coins;
-              const decide::DecisionOutcome outcome = decide::evaluate(
-                  *inst_ptr, output, *decider, d_coins, trial_options);
-              return outcome.accepted == accept;
+              return decide::accepts(*inst_ptr, output, *decider, d_coins,
+                                     trial_options) == accept;
             };
       }
     }

@@ -1,6 +1,7 @@
 // Tests for src/decide: LD deciders, the amos golden-ratio decider, the
 // f-resilient decider of Corollary 1, the BPLD#node slack decider, the
-// far-from-u evaluation device, and guarantee measurement.
+// far-from-u evaluation device, the verdict-only accepts(), and guarantee
+// measurement.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,9 +12,12 @@
 #include "decide/lcl_decider.h"
 #include "decide/resilient_decider.h"
 #include "decide/slack_decider.h"
+#include "fault/fault.h"
+#include "graph/ball_atlas.h"
 #include "graph/generators.h"
 #include "lang/amos.h"
 #include "lang/coloring.h"
+#include "rand/splitmix.h"
 #include "util/math.h"
 
 namespace lnc::decide {
@@ -216,6 +220,174 @@ TEST(FarFrom, UnreachableNodesAlwaysCount) {
   options.far_from = FarFrom{0, 3};  // u in the FIRST component
   const DecisionOutcome outcome = evaluate(inst, y, decider, options);
   EXPECT_FALSE(outcome.accepted);  // the far clash still counts
+}
+
+// Attaches `cache` to `workspace` so that its runs at `radius` over g read
+// an atlas: the cache builds one for the second requester of a key.
+void attach_atlas(local::BallWorkspace& workspace,
+                  graph::BallAtlasCache& cache, const graph::Graph& g,
+                  int radius) {
+  workspace.attach(&cache, 0);
+  ASSERT_EQ(workspace.atlas(g, radius), nullptr);
+  workspace.attach(&cache, 1);
+  ASSERT_NE(workspace.atlas(g, radius), nullptr);
+}
+
+TEST(Accepts, MatchesEvaluateWithAndWithoutAnAtlas) {
+  const lang::ProperColoring coloring(3);
+  const AmosDecider amos;                         // radius 0
+  const ResilientDecider resilient(coloring, 1);  // radius 1
+  // Both graphs are properly 2-colored by v % 2 (the grid's width is odd).
+  const std::vector<local::Instance> instances = {
+      ring_instance(24),
+      local::make_instance(graph::grid(5, 5), ident::consecutive(25))};
+  rand::SplitMix64 rng(2026);
+  for (const local::Instance& inst : instances) {
+    for (const RandomizedDecider* decider :
+         {static_cast<const RandomizedDecider*>(&amos),
+          static_cast<const RandomizedDecider*>(&resilient)}) {
+      graph::BallAtlasCache cache;
+      local::BallWorkspace warm;
+      attach_atlas(warm, cache, inst.g, decider->radius());
+      EvaluateOptions warm_options;
+      warm_options.ball = &warm;
+      std::size_t accepted = 0;
+      for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        // Amos: each node selected with probability 1/12. Coloring: the
+        // proper 2-coloring with each node recolored with probability 1/12.
+        local::Labeling y(inst.node_count());
+        for (graph::NodeId v = 0; v < inst.node_count(); ++v) {
+          const bool hit = rng.next_below(12) == 0;
+          y[v] = decider == &amos ? (hit ? lang::Amos::kSelected : 0)
+                                  : (hit ? rng.next_below(3) : v % 2);
+        }
+        const rand::PhiloxCoins coins(seed, rand::Stream::kDecision);
+        const bool want = evaluate(inst, y, *decider, coins).accepted;
+        SCOPED_TRACE(decider->name() + " n=" +
+                     std::to_string(inst.node_count()) +
+                     " seed=" + std::to_string(seed));
+        EXPECT_EQ(accepts(inst, y, *decider, coins), want);
+        EXPECT_EQ(accepts(inst, y, *decider, coins, warm_options), want);
+        EXPECT_EQ(evaluate(inst, y, *decider, coins, warm_options).accepted,
+                  want);
+        if (want) ++accepted;
+      }
+      // Both verdicts occur, so the early exit ran.
+      EXPECT_GT(accepted, 0u) << decider->name();
+      EXPECT_LT(accepted, 200u) << decider->name();
+    }
+  }
+}
+
+// The counters a cold evaluate() charges, and those of accepts() on a
+// workspace served by an atlas, for the same run.
+struct ChargePair {
+  bool cold_accepted = true;
+  bool warm_accepted = true;
+  local::Telemetry cold;
+  local::Telemetry warm;
+};
+
+ChargePair charges(const local::Instance& inst,
+                   std::span<const local::Label> y,
+                   const RandomizedDecider& decider,
+                   const rand::CoinProvider& coins, EvaluateOptions options,
+                   local::BallWorkspace& warm_workspace) {
+  ChargePair pair;
+  options.telemetry = &pair.cold;
+  pair.cold_accepted = evaluate(inst, y, decider, coins, options).accepted;
+  options.telemetry = &pair.warm;
+  options.ball = &warm_workspace;
+  pair.warm_accepted = accepts(inst, y, decider, coins, options);
+  return pair;
+}
+
+void expect_same_charges(const ChargePair& pair) {
+  EXPECT_EQ(pair.warm_accepted, pair.cold_accepted);
+  EXPECT_TRUE(pair.warm.deterministic_equal(pair.cold))
+      << "msgs " << pair.warm.messages_sent << " vs "
+      << pair.cold.messages_sent << ", words " << pair.warm.words_sent
+      << " vs " << pair.cold.words_sent << ", balls "
+      << pair.warm.ball_expansions << " vs " << pair.cold.ball_expansions;
+}
+
+TEST(Accepts, ChargesEveryNodeWhenTheFirstNodeRejects) {
+  const lang::ProperColoring coloring(3);
+  const ResilientDecider decider(coloring, 1);
+  const graph::NodeId n = 24;
+  const local::Instance inst = ring_instance(n);
+  local::Labeling y(n);
+  for (graph::NodeId v = 0; v < n; ++v) y[v] = v % 2;
+  y[1] = 0;  // bad balls at 0, 1 and 2
+  graph::BallAtlasCache cache;
+  local::BallWorkspace warm;
+  attach_atlas(warm, cache, inst.g, decider.radius());
+  bool found = false;
+  for (std::uint64_t seed = 0; seed < 64 && !found; ++seed) {
+    const rand::PhiloxCoins coins(seed, rand::Stream::kDecision);
+    const DecisionOutcome outcome = evaluate(inst, y, decider, coins);
+    if (outcome.rejecting.empty() || outcome.rejecting.front() != 0) continue;
+    found = true;
+    const ChargePair pair = charges(inst, y, decider, coins, {}, warm);
+    EXPECT_FALSE(pair.warm_accepted);
+    EXPECT_EQ(pair.cold.ball_expansions, n);
+    expect_same_charges(pair);
+  }
+  EXPECT_TRUE(found) << "no seed made node 0 reject";
+}
+
+TEST(Accepts, CrashCensoredRadiusZeroChargesOnlySurvivors) {
+  const AmosDecider decider;  // radius 0: the censored run reads the atlas
+  const graph::NodeId n = 48;
+  const local::Instance inst = ring_instance(n);
+  local::Labeling y(n, 0);
+  for (graph::NodeId v = 0; v < n; v += 8) y[v] = lang::Amos::kSelected;
+  const auto crash = fault::make_crash(0.25, 3);
+  const fault::InstanceFaults bound(*crash, inst.g, inst.ids.raw());
+  graph::BallAtlasCache cache;
+  local::BallWorkspace warm;
+  attach_atlas(warm, cache, inst.g, decider.radius());
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const rand::PhiloxCoins coins(seed, rand::Stream::kDecision);
+    const rand::PhiloxCoins fault_coins(seed, rand::Stream::kFault);
+    EvaluateOptions options;
+    options.fault = &bound;
+    options.fault_coins = &fault_coins;
+    const ChargePair pair = charges(inst, y, decider, coins, options, warm);
+    // Crashed centers cast no verdict and are charged nothing.
+    EXPECT_LT(pair.cold.ball_expansions, n);
+    EXPECT_GT(pair.cold.ball_expansions, 0u);
+    expect_same_charges(pair);
+    if (!pair.warm_accepted) ++rejected;
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(Accepts, FarFromChargesOnlyTheCountedNodes) {
+  const lang::ProperColoring coloring(3);
+  const ResilientDecider decider(coloring, 1);
+  const graph::NodeId n = 24;
+  const local::Instance inst = ring_instance(n);
+  graph::BallAtlasCache cache;
+  local::BallWorkspace warm;
+  attach_atlas(warm, cache, inst.g, decider.radius());
+  rand::SplitMix64 rng(77);
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    local::Labeling y(n);
+    for (graph::NodeId v = 0; v < n; ++v) y[v] = rng.next_below(3);
+    const rand::PhiloxCoins coins(seed, rand::Stream::kDecision);
+    EvaluateOptions options;
+    options.far_from = FarFrom{0, 2};
+    const ChargePair pair = charges(inst, y, decider, coins, options, warm);
+    EXPECT_EQ(pair.cold.ball_expansions, n - 5);  // B(0, 2) excluded
+    expect_same_charges(pair);
+    if (!pair.warm_accepted) ++rejected;
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ResilientDecider, RejectsOutOfIntervalP) {

@@ -301,6 +301,23 @@ TEST(BallAtlas, EveryBallMatchesAFreshCollection) {
   }
 }
 
+TEST(BallAtlas, TotalsAreTheSumsOverItsBalls) {
+  for (const Graph& g : {cycle(30), grid(6, 5), random_regular(40, 3, 5)}) {
+    for (int radius = 0; radius <= 3; ++radius) {
+      const auto atlas = BallAtlas::build(g, radius);
+      ASSERT_NE(atlas, nullptr);
+      std::uint64_t members = 0;
+      std::uint64_t words = 0;
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        members += atlas->ball(v).size();
+        words += atlas->ball(v).encoded_words();
+      }
+      EXPECT_EQ(atlas->total_members(), members) << "r=" << radius;
+      EXPECT_EQ(atlas->total_encoded_words(), words) << "r=" << radius;
+    }
+  }
+}
+
 TEST(Graph, UidIsPerBuildSharedByCopies) {
   EXPECT_EQ(Graph().uid(), 0u);
   Graph a = cycle(8);
